@@ -1,12 +1,13 @@
-"""E11 — overlapped fan-out latency under event-driven execution.
+"""E11 — overlapped fan-out latency on the event scheduler.
 
 The paper's answer-time argument assumes a parallel region fan-out completes
-in the *max*, not the sum, of its per-destination hop chains.  The causal
-trace model asserts that analytically (``Trace.parallel``); this experiment
-verifies it mechanically: the same batched ``lookup_many`` runs (a) as a
-sequence of single lookups composed causally, (b) as the analytic parallel
-composition, and (c) on the event-driven scheduler, where the chains are
-real interleaved events on a simulated clock.
+in the *max*, not the sum, of its per-destination hop chains.  This
+experiment verifies it mechanically: the same batched ``lookup_many`` is
+(a) run as a sequence of single lookups composed one after another, (b)
+composed analytically from its per-region hop chains (sum of pinned link
+latencies per chain, max over chains), and (c) run on the event
+scheduler, where the chains are real interleaved events on a simulated
+clock.
 
 Link latencies are *pinned* up front from a seeded lognormal (PlanetLab-like
 median 40 ms, heavy tail, no jitter), so twin overlays share identical links
@@ -15,8 +16,9 @@ drift would mean the scheduler mis-measures.  The reported speedup is
 (a) / (c): what overlapping the fan-out buys over sequential composition.
 
 E11b repeats the comparison for range queries (shower fan-out vs sequential
-min-max traversal), and E11c runs the full conference query mix in both
-execution models.  Set ``UNISTORE_QUICK=1`` for the CI smoke configuration.
+min-max traversal), and E11c runs the full conference query mix on a fresh
+clock per query and on one shared clock.  Set ``UNISTORE_QUICK=1`` for the
+CI smoke configuration.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.net.trace import Trace
 from repro.pgrid import build_network, bulk_load, encode_string
 from repro.pgrid.keys import KeyRange
 from repro.pgrid.network import PGridNetwork
-from repro.pgrid.range_query import range_query_sequential, range_query_shower
+from repro.pgrid.range_query import _expand_shower, range_query_sequential, range_query_shower
 
 from conftest import emit
 
@@ -74,6 +76,32 @@ def _pin_links(pnet: PGridNetwork, seed: int = LINK_SEED) -> None:
                 pnet.net.set_link_latency(src, dst, rng.lognormvariate(mu, SIGMA), symmetric=False)
 
 
+def _analytic_fanout(pnet: PGridNetwork, keys: list[str], start) -> Trace:
+    """``lookup_many``'s region chains composed analytically: per chain the
+    pinned hop latencies plus the reply add up; the fan-out takes the max."""
+    link = pnet.net.link_latency
+    with pnet.clock() as scheduler:
+        # Route discovery only: no message is sent.
+        regions = pnet._route_regions(scheduler, keys, start, "lookup")
+    branches = []
+    for destination, _region_keys, hops in regions:
+        if destination is not start:
+            hops = [*hops, (destination.node_id, start.node_id)]
+        branches.append(sum((Trace.hop(link(src, dst)) for src, dst in hops), Trace.ZERO))
+    return Trace.parallel(branches)
+
+
+def _analytic_shower(pnet: PGridNetwork, node) -> float:
+    """Critical path of a shower fan-out tree: forward edge, subtree,
+    funnel-back edge, max over children."""
+    link = pnet.net.link_latency
+    branches = [0.0]
+    for child in node.children:
+        there, back = node.peer.node_id, child.peer.node_id
+        branches.append(link(there, back) + _analytic_shower(pnet, child) + link(back, there))
+    return max(branches)
+
+
 def _overlay(num_peers: int, seed: int) -> PGridNetwork:
     pnet = build_network(
         num_peers,
@@ -105,12 +133,12 @@ def test_e11_fanout_max_vs_sum(benchmark):
             _entries, one = seq_net.lookup(key, start=seq_net.peers[0])
             sequential = sequential.then(one)
 
-        _results, analytic = trace_net.lookup_many(KEYS, start=trace_net.peers[0])
+        analytic = _analytic_fanout(trace_net, KEYS, trace_net.peers[0])
         with event_net.event_driven():
             _results, overlapped = event_net.lookup_many(KEYS, start=event_net.peers[0])
 
-        # The scheduler must *measure* what the trace model *asserts*: the
-        # fan-out completes at the max of its per-region chains.
+        # The scheduler must *measure* what the analytic composition
+        # asserts: the fan-out completes at the max of its per-region chains.
         assert overlapped.latency == pytest.approx(analytic.latency, rel=1e-9)
         assert overlapped.messages == analytic.messages
         assert overlapped.latency < sequential.latency
@@ -137,7 +165,7 @@ def test_e11_fanout_max_vs_sum(benchmark):
 def test_e11b_range_query_shower_overlap(benchmark):
     table = ResultTable(
         "E11b: range query latency — shower fan-out overlapped vs sequential walk",
-        ["peers", "algorithm", "model", "latency s", "msgs", "rows"],
+        ["peers", "algorithm", "clock", "latency s", "msgs", "rows"],
     )
     key_range = KeyRange(encode_string(WORDS[2]), encode_string(WORDS[-3]))
     for num_peers in OVERLAY_SIZES:
@@ -159,15 +187,18 @@ def test_e11b_range_query_shower_overlap(benchmark):
             assert trace_t.messages == trace_e.messages
             rows.append((algorithm, trace_t, trace_e, len(entries_e)))
             table.add_row(
-                num_peers, algorithm, "trace", trace_t.latency, trace_t.messages, len(entries_t)
+                num_peers, algorithm, "per-call", trace_t.latency, trace_t.messages, len(entries_t)
             )
             table.add_row(
-                num_peers, algorithm, "event", trace_e.latency, trace_e.messages, len(entries_e)
+                num_peers, algorithm, "shared", trace_e.latency, trace_e.messages, len(entries_e)
             )
         # The shower's measured overlap must agree with its analytic max.
         # (Whether it beats the serial walk depends on range width — the
         # paper's trade-off — so that column is reported, not asserted.)
-        shower_t, shower_e = rows[0][1], rows[0][2]
+        twin = _overlay(num_peers, seed)
+        tree = _expand_shower(twin, twin.peers[0], key_range, "", twin.rng)
+        shower_t = Trace(latency=_analytic_shower(twin, tree))
+        shower_e = rows[0][2]
         assert shower_e.latency == pytest.approx(shower_t.latency, rel=1e-9)
     emit(table)
 
@@ -203,8 +234,8 @@ def test_e11c_query_mix_event_vs_trace():
     event_store, _workload = build()
     runs = 2 if QUICK else 6
     table = ResultTable(
-        f"E11c: query answer times, {num_peers} peers — causal trace vs event-driven",
-        ["query class", "trace median s", "event median s", "mean msgs"],
+        f"E11c: query answer times, {num_peers} peers — fresh clock per query vs shared clock",
+        ["query class", "per-call median s", "shared median s", "mean msgs"],
     )
     for name, vql in workload.query_mix().items():
         trace_latencies, event_latencies, messages = [], [], []
@@ -217,6 +248,6 @@ def test_e11c_query_mix_event_vs_trace():
             event_latencies.append(result_e.answer_time)
             messages.append(float(result_e.messages))
         table.add_row(name, median(trace_latencies), median(event_latencies), mean(messages))
-        # Both models must stay in the paper's "couple of seconds" band.
+        # Both must stay in the paper's "couple of seconds" band.
         assert median(event_latencies) < 3.0, name
     emit(table)

@@ -204,13 +204,13 @@ class UniStore:
     # -- execution model ---------------------------------------------------------
 
     def event_driven(self, simulator=None, load=None, hints=False):
-        """Scope event-driven (simulated-time) execution for this store.
+        """Scope one shared simulated clock over many operations.
 
-        Inside the ``with`` block every routed operation — query fan-outs,
-        index probes, range showers, ingest — runs as discrete events on a
-        shared simulated clock, so parallel fan-outs complete at the
-        *measured* max of their branches instead of the analytically
-        composed one::
+        Every routed operation — query fan-outs, index probes, range
+        showers, ingest — always runs as discrete events on a simulated
+        clock, so parallel fan-outs complete at the *measured* max of their
+        branches.  Outside this block each call gets a fresh clock; inside
+        it all calls share one, which can also carry load and hints::
 
             with store.event_driven() as sched:
                 result = store.execute(vql)
@@ -275,14 +275,17 @@ class UniStore:
             ),
         )
 
-        if mode == "reference":
-            result = self._execute_reference(query)
-        elif mode == "mqp":
-            result = self._execute_mqp(query, ctx, config)
-        elif mode == "optimized":
-            result = self._execute_optimized(query, ctx, config)
-        else:
-            raise ValueError(f"unknown execution mode {mode!r}")
+        # One clock for the whole query: the attached scheduler, or an
+        # implicit one dropped when the query returns.
+        with self.pnet.clock():
+            if mode == "reference":
+                result = self._execute_reference(query)
+            elif mode == "mqp":
+                result = self._execute_mqp(query, ctx, config)
+            elif mode == "optimized":
+                result = self._execute_optimized(query, ctx, config)
+            else:
+                raise ValueError(f"unknown execution mode {mode!r}")
 
         result.trace = expansion_trace.then(result.trace)
         result.mode = mode

@@ -17,10 +17,10 @@ until no pattern is pending, then ships the result to the coordinator.
 Compared with coordinator-driven execution, intermediate results never bounce
 through the coordinator — the trade the E4/E2 measurements expose.
 
-Under event-driven execution (:meth:`PGridNetwork.event_driven`) each stop's
-index probes fan out as interleaved events — the per-value lookups of one
-probe step overlap in simulated time — while successive stops remain
-sequential on the clock, exactly the mutant plan's migration semantics.
+Each stop's index probes fan out as interleaved events on the simulated
+clock — the per-value lookups of one probe step overlap — while successive
+stops remain sequential on the clock, exactly the mutant plan's migration
+semantics.
 """
 
 from __future__ import annotations

@@ -9,15 +9,11 @@ overlay message goes through :meth:`Network.send`, which
 * samples a per-link latency from the configured latency model, and
 * accounts messages/bytes into global and per-query statistics frames.
 
-Query answer times are computed in one of two execution models:
-
-* the *causal trace* model described in DESIGN.md §7 — sequential message
-  chains add latencies, parallel fan-outs take the maximum branch latency
-  analytically (:class:`~repro.net.trace.Trace`); and
-* the *event-driven* model — messages are discrete events on a simulated
-  clock (:class:`~repro.net.scheduler.EventScheduler` over
-  :class:`~repro.net.simulator.EventSimulator`), so concurrent fan-outs
-  genuinely interleave and completion times are measured, not composed.
+Routed data operations run their messages as discrete events on a
+simulated clock (:class:`~repro.net.scheduler.EventScheduler` over
+:class:`~repro.net.simulator.EventSimulator`), so concurrent fan-outs
+genuinely interleave and completion times are measured, not composed; each
+operation reports its cost as a :class:`~repro.net.trace.Trace`.
 """
 
 from repro.net.churn import ChurnModel, ChurnEvent, generate_session_trace
@@ -28,7 +24,6 @@ from repro.net.latency import (
     UniformLatency,
     ZeroLatency,
 )
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.scheduler import Delivery, EventScheduler
@@ -39,7 +34,6 @@ from repro.net.trace import Trace
 __all__ = [
     "Network",
     "Node",
-    "Message",
     "Trace",
     "NetworkStats",
     "StatsFrame",

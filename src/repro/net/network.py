@@ -1,21 +1,15 @@
 """The simulated network: registration, delivery, latency, accounting.
 
-``Network`` is deliberately synchronous: ``send`` validates that source and
-destination are online, samples the link latency, accounts the message, and
-returns a single-hop :class:`~repro.net.trace.Trace`.  Protocol logic (what
-the destination *does* with the message) stays in the overlay code, which
-composes the returned traces into causal execution trees.  This keeps
-thousand-peer simulations fast while preserving exactly the quantities the
-paper reports: message counts, hop counts and critical-path answer time.
-
-For genuinely concurrent fan-outs there is an event-driven sibling,
-:class:`~repro.net.scheduler.EventScheduler`, which schedules messages as
-discrete events over the same network (same validation, same latency
-sampling, same stats ledger) and measures completion times on a simulated
-clock instead of composing them analytically.  The scheduler optionally
-carries a per-peer queueing layer (:mod:`repro.load.model`): with a load
-model attached, a delivery completes at link latency + queueing delay +
-service time, so hot peers become genuine latency bottlenecks.
+``Network`` holds the nodes, the memoized per-link latencies and the stats
+ledger.  Routed data operations run on an
+:class:`~repro.net.scheduler.EventScheduler` over this network (same
+validation, latency sampling and ledger), which measures completion times
+on a simulated clock and optionally carries a per-peer queueing layer
+(:mod:`repro.load.model`).  The synchronous :meth:`Network.send` serves the
+maintenance protocols (construction exchange, load balancing, merge,
+anti-entropy) and the Chord baseline: it validates that the destination is
+online, samples the link latency, accounts the message, and returns a
+single-hop :class:`~repro.net.trace.Trace`.
 
 ``Network`` also hosts cross-cutting overlay policy flags that routing
 consults via ``peer.network`` (currently :attr:`Network.route_warming`, the

@@ -1,9 +1,7 @@
 """Event-driven message transport: routed operations in simulated time.
 
-The causal-trace model (:mod:`repro.net.trace`) composes fan-out latency
-*analytically* — ``Trace.parallel`` takes the max over branches without ever
-interleaving them.  :class:`EventScheduler` is the execution engine for the
-alternative model: messages become events on a shared
+:class:`EventScheduler` is the execution engine of every routed data
+operation: messages become events on an
 :class:`~repro.net.simulator.EventSimulator` heap, hop chains are callback
 chains (each delivery schedules the next hop), and concurrent fan-outs
 genuinely interleave on one simulated clock.  A fan-out over k destinations
@@ -307,8 +305,7 @@ class EventScheduler:
         """Schedule ``(src, dst, kind, size)`` messages concurrently and drain.
 
         All messages depart at the same instant; the returned trace completes
-        at the max arrival — the event-driven counterpart of
-        ``Trace.parallel`` over single hops.
+        at the max arrival.
         """
         start = self.now if at is None else at
         completions: list[float] = []
@@ -342,9 +339,9 @@ class EventScheduler:
         chains.  ``untracked`` chains are scheduled and accounted but never
         complete — the partial hops of failed routes.
 
-        This is the shared scaffold behind the event-driven modes of
-        ``insert_many`` / ``lookup_many`` and the rehash join's shipping
-        wave, so their message/hop accounting cannot drift apart.
+        This is the shared scaffold behind ``insert_many`` / ``lookup_many``
+        and the rehash join's shipping wave, so their message/hop accounting
+        cannot drift apart.
         """
         start_time = self.now
         completions: list[float] = []

@@ -12,7 +12,7 @@ query or experiment phase::
 
 Frames nest; every active frame sees every message.
 
-Messages delivered by the event-driven scheduler carry a simulated-time
+Messages delivered by the event scheduler carry a simulated-time
 timestamp (``record(..., at=...)``); a frame then also tracks the first and
 last delivery instants it saw, so a query frame reports its simulated span
 (:attr:`StatsFrame.completion_time`) alongside its message counts.
@@ -25,8 +25,8 @@ message additionally reports its queueing delay and service time through
 :meth:`NetworkStats.record_reject` / :meth:`NetworkStats.record_defer`.
 :meth:`StatsFrame.snapshot` includes the queueing fields *only when a load
 model produced them* and the shed counters *only when something was shed*
-— trace-mode runs (and event-mode runs without a load model) keep their
-historical, byte-for-byte identical snapshot, so the E1–E11 result tables
+— runs without a load model keep their historical, byte-for-byte identical
+snapshot, so the E1–E11 result tables
 stay comparable with prior PRs.
 """
 

@@ -9,16 +9,17 @@ latency.  Traces compose:
 * ``Trace.parallel([...])`` — branches fan out concurrently (messages add,
   latency/hops take the slowest branch).
 
-This is the execution model all physical operators report through; the
-"query answer time" in the benchmarks is ``trace.latency`` of the root
+Every routed operation measures its own trace on the event scheduler
+(:mod:`repro.net.scheduler`); physical operators compose those traces, and
+the "query answer time" in the benchmarks is ``trace.latency`` of the root
 operator.
 
 Traces additionally carry a ``completion_time``: the absolute simulated-time
-instant at which the operation's last event fired when it ran in event-driven
-mode (see :mod:`repro.net.scheduler`).  Purely analytic traces leave it at
-``0.0``.  Under composition the completion time is the *latest* involved
-instant — sequential and parallel composition both take the max, because the
-field is an absolute timestamp, not a duration.
+instant at which the operation's last event fired on its scheduler's clock.
+Traces that never ran on a clock leave it at ``0.0``.  Under composition the
+completion time is the *latest* involved instant — sequential and parallel
+composition both take the max, because the field is an absolute timestamp,
+not a duration.
 """
 
 from __future__ import annotations

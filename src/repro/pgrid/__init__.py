@@ -49,7 +49,6 @@ from repro.pgrid.replication import (
 from repro.pgrid.routing import (
     RouteCache,
     point_key,
-    replay_hops,
     route,
     route_hops,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "data_split_paths",
     "route",
     "route_hops",
-    "replay_hops",
     "point_key",
     "RouteCache",
     "range_query_shower",

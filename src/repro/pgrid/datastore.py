@@ -16,7 +16,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.pgrid.keys import KeyRange
+from repro.pgrid.keys import KeyRange, canonical
 
 
 @dataclass(frozen=True)
@@ -86,24 +86,18 @@ class DataStore:
     def scan(self, key_range: KeyRange) -> list[Entry]:
         """All entries whose key lies in the half-open ``key_range``.
 
-        Runs in ``O(log n + k)`` over the sorted key index: binary search to
-        the first candidate, linear walk until a key at or past the upper
-        bound.  Because keys compare as binary fractions while the index is
-        plain-lexicographic, keys that are zero-padded variants of the lower
-        bound are re-checked with ``key_range.contains``.
+        Runs in ``O(log n + k)`` over the sorted key index.  Plain string
+        order of the stored keys agrees with their binary-fraction order
+        (zero-padded variants of one point sort next to each other), so a
+        binary search for the canonical lower bound finds the first key in
+        range and the walk stops at the first key past the upper bound.
         """
-        start = bisect.bisect_left(self._sorted_keys, key_range.lo)
-        # Lexicographically smaller keys that denote the same point (e.g.
-        # "01" vs lo="010") sit immediately before `start`; back up over them.
-        while start > 0 and key_range.contains(self._sorted_keys[start - 1]):
-            start -= 1
+        keys = self._sorted_keys
         result: list[Entry] = []
-        for index in range(start, len(self._sorted_keys)):
-            key = self._sorted_keys[index]
-            if not key_range.contains(key):
-                if key_range.hi is not None and key >= key_range.hi:
-                    break
-                continue
+        for index in range(bisect.bisect_left(keys, key_range.lo_canonical), len(keys)):
+            key = keys[index]
+            if canonical(key) >= key_range.hi_canonical:
+                break
             result.extend(self._by_key[key].values())
         return result
 

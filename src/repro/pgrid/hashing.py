@@ -4,10 +4,11 @@ P-Grid's distinguishing feature (paper §2) is that its hash function preserves
 the order of keys, so range and prefix queries map to contiguous trie regions.
 We realize this with fixed-width encodings:
 
-* **Strings** — 8 bits per character (code points clamped to 255).  Because
-  every character has the same width, ``encode_string(s)`` is a bit-prefix of
-  ``encode_string(s + t)``, and lexicographic string order equals fractional
-  key order.  This is what makes substring/prefix search "native" in P-Grid.
+* **Strings** — the UTF-8 bytes, 8 bits each.  UTF-8 is concatenative, so
+  ``encode_string(s)`` is a bit-prefix of ``encode_string(s + t)``, and its
+  byte order equals code-point order, so Python's string order equals
+  fractional key order.  This is what makes substring/prefix search "native"
+  in P-Grid.  ASCII keeps one byte (8 bits) per character.
 * **Numbers** — 64-bit offset-binary IEEE-754: flip the sign bit of the
   float's big-endian bits for non-negatives, flip *all* bits for negatives.
   The resulting bit string orders exactly like the numbers themselves.
@@ -22,19 +23,23 @@ import math
 import struct
 
 #: Character used by the triple layer to join attribute and value in the
-#: A#v index.  Encoded as code point 2 — above the q-gram pad, below any
-#: printable character — so ``attr SEP value`` keys for one attribute form a
-#: contiguous subtree that no other attribute's keys can enter.
+#: A#v index.  Encoded as the byte 0x02 — above the q-gram pad, below the
+#: first UTF-8 byte of any allowed character (>= 0x03) — so ``attr SEP
+#: value`` keys for one attribute form a contiguous subtree that no other
+#: attribute's keys can enter.
 KEY_SEPARATOR = "\x02"
 
 
 def encode_string(s: str) -> str:
-    """Encode a string as bits, 8 per character, order-preserving."""
-    out = []
-    for ch in s:
-        code = min(ord(ch), 255)
-        out.append(format(code, "08b"))
-    return "".join(out)
+    """Encode a string as the bits of its UTF-8 bytes, order-preserving.
+
+    Lone surrogates are encoded like any other code point
+    (``surrogatepass``), so every ``str`` keeps its place in the order.
+    """
+    data = s.encode("utf-8", "surrogatepass")
+    if not data:
+        return ""
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
 
 
 def encode_number(x: float | int) -> str:
@@ -76,7 +81,8 @@ def after_key(key: str) -> str:
     encoding of any *extension* of the encoded value, because the triple
     layer rejects characters with code points < 3 (q-gram pad ``\\x01`` and
     :data:`KEY_SEPARATOR` ``\\x02`` are reserved), so a one-character
-    extension appends at least ``00000011``.  This is what makes
+    extension appends at least ``00000011`` (a multi-byte UTF-8 character
+    starts with a byte of at least ``11000010``).  This is what makes
     ``value <= v`` ranges exact under the prefix-preserving encoding.
     """
     return key + "00000001"

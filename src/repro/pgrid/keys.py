@@ -7,7 +7,11 @@ having π as a prefix.  A set of paths is a valid P-Grid partition when those
 intervals tile the whole space (prefix-free, Kraft sum 1).
 
 All comparison helpers here treat missing trailing bits as ``0`` so that keys
-of unequal length compare as the binary fractions they denote.
+of unequal length compare as the binary fractions they denote.  They do so
+without arithmetic: the binary-fraction order of two keys is the plain
+string order of their :func:`canonical` forms (trailing zeros stripped).
+:func:`key_fraction` and :func:`path_interval` give the exact rational
+values, for tests to check that equivalence against.
 """
 
 from __future__ import annotations
@@ -15,6 +19,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 BITS = ("0", "1")
+
+#: Canonical upper end of the key space (the point 1.0): sorts after every
+#: bit string.
+END_OF_SPACE = "2"
+
+
+def canonical(key: str) -> str:
+    """The shortest key denoting the same point: ``"0100"`` -> ``"01"``.
+
+    Canonical keys compare as plain strings exactly like the binary
+    fractions they denote.
+    """
+    return key.rstrip("0")
+
+
+def upper_end(path: str) -> str:
+    """Canonical exclusive upper end of the interval a path covers."""
+    return increment_path(path) or END_OF_SPACE
 
 
 def validate_key(key: str) -> str:
@@ -47,14 +69,8 @@ def compare_keys(a: str, b: str) -> int:
 
     ``"01" == "010"`` because both denote the point 0.01₂.
     """
-    n = max(len(a), len(b))
-    a_padded = a.ljust(n, "0")
-    b_padded = b.ljust(n, "0")
-    if a_padded < b_padded:
-        return -1
-    if a_padded > b_padded:
-        return 1
-    return 0
+    a, b = canonical(a), canonical(b)
+    return (a > b) - (a < b)
 
 
 def key_le(a: str, b: str) -> bool:
@@ -94,10 +110,7 @@ def intervals_intersect(path: str, lo: str, hi: str) -> bool:
     ``lo``/``hi`` are inclusive key bounds (points).  The subtree is the
     half-open interval of :func:`path_interval`.
     """
-    p_lo, p_hi = path_interval(path)
-    q_lo = key_fraction(lo)
-    q_hi = key_fraction(hi)
-    return p_lo <= q_hi and q_lo < p_hi
+    return canonical(path) <= canonical(hi) and canonical(lo) < upper_end(path)
 
 
 class KeyRange:
@@ -105,15 +118,17 @@ class KeyRange:
 
     ``hi is None`` means "to the end of the key space".  All physical range
     operators and the overlays' range-query algorithms take one of these.
+    ``lo_canonical``/``hi_canonical`` are the bounds as :func:`canonical`
+    strings (``hi_canonical`` is :data:`END_OF_SPACE` for an open range).
     """
 
-    __slots__ = ("lo", "hi", "_lo_f", "_hi_f")
+    __slots__ = ("lo", "hi", "lo_canonical", "hi_canonical")
 
     def __init__(self, lo: str, hi: str | None):
         self.lo = validate_key(lo)
         self.hi = validate_key(hi) if hi is not None else None
-        self._lo_f = key_fraction(self.lo)
-        self._hi_f = key_fraction(self.hi) if self.hi is not None else Fraction(1)
+        self.lo_canonical = canonical(self.lo)
+        self.hi_canonical = canonical(self.hi) if self.hi is not None else END_OF_SPACE
 
     @classmethod
     def subtree(cls, prefix: str) -> "KeyRange":
@@ -130,24 +145,22 @@ class KeyRange:
         return cls("", None)
 
     def contains(self, key: str) -> bool:
-        point = key_fraction(key)
-        return self._lo_f <= point < self._hi_f
+        return self.lo_canonical <= canonical(key) < self.hi_canonical
 
     def intersects_path(self, path: str) -> bool:
         """True when the subtree of ``path`` overlaps this interval."""
-        p_lo, p_hi = path_interval(path)
-        return p_lo < self._hi_f and self._lo_f < p_hi
+        return canonical(path) < self.hi_canonical and self.lo_canonical < upper_end(path)
 
     def is_empty(self) -> bool:
-        return self._lo_f >= self._hi_f
+        return self.lo_canonical >= self.hi_canonical
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KeyRange):
             return NotImplemented
-        return self._lo_f == other._lo_f and self._hi_f == other._hi_f
+        return (self.lo_canonical, self.hi_canonical) == (other.lo_canonical, other.hi_canonical)
 
     def __hash__(self) -> int:
-        return hash((self._lo_f, self._hi_f))
+        return hash((self.lo_canonical, self.hi_canonical))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         hi = "END" if self.hi is None else self.hi

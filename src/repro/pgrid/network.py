@@ -19,16 +19,13 @@ one sized replica message per region, so the per-message routing cost
 amortizes across the batch.  Upper layers (triple store, MQP probes) publish
 and probe through these.
 
-Every data operation runs in one of two execution models:
-
-* **causal trace** (default) — messages are accounted synchronously and
-  latency is composed analytically (``Trace.parallel`` takes the max);
-* **event-driven** — inside :meth:`PGridNetwork.event_driven`, hop chains
-  become callback chains on a shared discrete-event clock
-  (:class:`~repro.net.scheduler.EventScheduler`): region fan-outs and
-  replica pushes genuinely interleave, and an operation completes at the
-  *measured* max arrival across its regions.  Routing decisions and message
-  accounting are identical in both models; only how latency arises differs.
+Every data operation runs on an :class:`~repro.net.scheduler.EventScheduler`:
+hop chains are callback chains on a discrete-event clock, region fan-outs
+and replica pushes genuinely interleave, and an operation completes at the
+*measured* max arrival across its regions.  Inside
+:meth:`PGridNetwork.event_driven` that clock is shared (and may carry a load
+model and hints); otherwise each top-level call runs on a fresh implicit
+scheduler that is dropped when it returns (:meth:`PGridNetwork.clock`).
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from repro.net.trace import Trace
 from repro.pgrid.datastore import Entry
 from repro.pgrid.keys import KeyRange, is_complete_partition, responsible
 from repro.pgrid.peer import PGridPeer
-from repro.pgrid.routing import account_hops, point_key, replay_hops, route, route_hops
+from repro.pgrid.routing import account_hops, point_key, route, route_hops
 
 
 class PGridNetwork:
@@ -60,7 +57,9 @@ class PGridNetwork:
         self.rng = random.Random(seed ^ 0x5EED)
         self.peers: list[PGridPeer] = []
         self._clock = 0  # Lamport-style version counter for updates
+        #: The scheduler attached by :meth:`event_driven` (``None`` when detached).
         self.scheduler: EventScheduler | None = None
+        self._implicit: EventScheduler | None = None
         #: Default replica-diffusion policy for reads ("none" | "random" |
         #: "least-busy"); see :mod:`repro.load.diffusion`.
         self.replica_diffusion = "none"
@@ -70,7 +69,7 @@ class PGridNetwork:
     def attach_scheduler(
         self, simulator: EventSimulator | None = None, load=None, hints=False
     ) -> EventScheduler:
-        """Switch data operations to event-driven (simulated-time) execution.
+        """Run data operations on one shared, persistent simulated clock.
 
         ``load`` (a :class:`~repro.load.model.LoadModel`) adds per-peer
         service times and FIFO queueing on top of link latency; give it an
@@ -88,10 +87,10 @@ class PGridNetwork:
         return self.scheduler
 
     def detach_scheduler(self) -> None:
-        """Return to causal-trace execution (any pending events are dropped).
+        """Return to per-call implicit schedulers (pending events are dropped).
 
         Also detaches the hint registry installed by :meth:`attach_scheduler`,
-        so trace-mode routing goes back to the historical uniform choice.
+        so routing goes back to the historical uniform choice.
         """
         self.scheduler = None
         self.net.hints = None
@@ -100,11 +99,11 @@ class PGridNetwork:
     def event_driven(
         self, simulator: EventSimulator | None = None, load=None, hints=False
     ) -> Iterator[EventScheduler]:
-        """Scope event-driven execution::
+        """Scope a shared simulated clock over many operations::
 
             with pnet.event_driven() as sched:
                 results, trace = pnet.lookup_many(keys)
-            # trace.latency was measured on sched's clock
+            # trace.completion_time is an instant on sched's clock
 
         With ``load=LoadModel(...)`` deliveries additionally queue for
         service at their destination peers, so the measured latency is
@@ -119,19 +118,35 @@ class PGridNetwork:
             if self.scheduler is scheduler:
                 self.detach_scheduler()
 
+    @contextmanager
+    def clock(self) -> Iterator[EventScheduler]:
+        """The scheduler a data operation runs on.
+
+        The one attached by :meth:`event_driven` if any; otherwise a fresh
+        implicit scheduler shared by every operation nested inside the
+        outermost ``with`` and dropped when it exits, so no delivery log or
+        clock outlives a top-level call.
+        """
+        active = self.scheduler or self._implicit
+        if active:
+            yield active
+            return
+        self._implicit = EventScheduler(self.net)
+        try:
+            yield self._implicit
+        finally:
+            self._implicit = None
+
     def ship(self, src_id: str, dst_id: str, kind: str, size: int = 1) -> Trace:
-        """One accounted message in the active execution model."""
-        if self.scheduler is None or src_id == dst_id:
-            return self.net.send(src_id, dst_id, kind, size)
-        return self.scheduler.fanout([(src_id, dst_id, kind, size)])
+        """One accounted message; a local one (``src == dst``) is free."""
+        return self.ship_many([(src_id, dst_id, kind, size)])
 
     def ship_many(self, sends: list[tuple[str, str, str, int]]) -> Trace:
         """Concurrent ``(src, dst, kind, size)`` messages; completes at the max."""
         if not sends:
             return Trace.ZERO
-        if self.scheduler is None:
-            return Trace.parallel([self.net.send(*send) for send in sends])
-        return self.scheduler.fanout(sends)
+        with self.clock() as scheduler:
+            return scheduler.fanout(sends)
 
     # -- membership ----------------------------------------------------------
 
@@ -187,15 +202,16 @@ class PGridNetwork:
         if version is None:
             version = self.next_version()
         entry = Entry(key=key, item_id=item_id, value=value, version=version)
-        # Point semantics: land on the exact responsible leaf, not merely an
-        # entry point into the key's subtree (matters for deep tries).
-        destination, trace = route(start, point_key(key), kind=kind, scheduler=self.scheduler)
-        destination.store.put(entry)
-        pushes = []
-        for replica_id in destination.online_replicas():
-            self.net.nodes[replica_id].store.put(entry)
-            pushes.append((destination.node_id, replica_id, kind, 1))
-        return trace.then(self.ship_many(pushes)) if pushes else trace
+        with self.clock() as scheduler:
+            # Point semantics: land on the exact responsible leaf, not merely
+            # an entry point into the key's subtree (matters for deep tries).
+            destination, trace = route(start, point_key(key), kind=kind, scheduler=scheduler)
+            destination.store.put(entry)
+            pushes = []
+            for replica_id in destination.online_replicas():
+                self.net.nodes[replica_id].store.put(entry)
+                pushes.append((destination.node_id, replica_id, kind, 1))
+            return trace.then(self.ship_many(pushes))
 
     def lookup(
         self, key: str, start: PGridPeer | None = None, kind: str = "lookup"
@@ -205,11 +221,10 @@ class PGridNetwork:
         One extra hop models the answer being shipped back to the initiator.
         """
         start = start or self.random_online_peer()
-        entries, trace, destination = self.lookup_at(key, start=start, kind=kind)
-        if destination is not start:
+        with self.clock():
+            entries, trace, destination = self.lookup_at(key, start=start, kind=kind)
             reply = self.ship(destination.node_id, start.node_id, kind, size=max(1, len(entries)))
-            trace = trace.then(reply)
-        return entries, trace
+        return entries, trace.then(reply)
 
     def lookup_at(
         self,
@@ -231,54 +246,51 @@ class PGridNetwork:
         """
         start = start or self.random_online_peer()
         policy = self.replica_diffusion if diffusion is None else diffusion
-        if policy == "none":
-            destination, trace = route(start, point_key(key), kind=kind, scheduler=self.scheduler)
-            return destination.store.get(key), trace, destination
-        from repro.load.diffusion import diffuse_route  # deferred: load imports pgrid
+        with self.clock() as scheduler:
+            if policy == "none":
+                destination, trace = route(start, point_key(key), kind=kind, scheduler=scheduler)
+                return destination.store.get(key), trace, destination
+            from repro.load.diffusion import diffuse_route  # deferred: load imports pgrid
 
-        try:
-            destination, hops = route_hops(start, point_key(key))
-        except RoutingError as error:
-            error.trace = account_hops(
-                self.net, getattr(error, "hops", []), kind, 1, self.scheduler
+            try:
+                destination, hops = route_hops(start, point_key(key))
+            except RoutingError as error:
+                error.trace = account_hops(scheduler, getattr(error, "hops", []), kind, 1)
+                raise
+            destination, hops = diffuse_route(
+                destination,
+                hops,
+                policy=policy,
+                rng=self.rng,
+                load=scheduler.load,
+                now=scheduler.now,
+                hints=self.net.hints,
+                observer=start.node_id,
             )
-            raise
-        destination, hops = diffuse_route(
-            destination,
-            hops,
-            policy=policy,
-            rng=self.rng,
-            load=self.scheduler.load if self.scheduler else None,
-            now=self.scheduler.now if self.scheduler else 0.0,
-            hints=self.net.hints,
-            observer=start.node_id,
-        )
-        trace = account_hops(self.net, hops, kind, 1, self.scheduler)
-        return destination.store.get(key), trace, destination
+            trace = account_hops(scheduler, hops, kind, 1)
+            return destination.store.get(key), trace, destination
 
     # -- bulk data operations (destination-grouped, message-accounted) ---------
 
     def _route_regions(
-        self, keys, start: PGridPeer, kind: str, rng: random.Random | None = None
+        self, scheduler: EventScheduler, keys, start: PGridPeer, kind: str
     ) -> list[tuple[PGridPeer, list[str], list[tuple[str, str]]]]:
         """Group distinct ``keys`` by responsible region, routing once each.
 
-        Routes are *discovered* only (no messages yet — callers replay the
+        Routes are *discovered* only (no messages yet — callers schedule the
         returned hop lists at the batch's real size).  Returns
         ``(destination, region_keys, hops)`` per region.  A routing failure
         propagates as :class:`RoutingError` with the partial trace accounted
-        under the operation's ``kind`` at size 1.
+        on ``scheduler`` under the operation's ``kind`` at size 1.
         """
         pending = sorted(set(keys))
         regions: list[tuple[PGridPeer, list[str], list[tuple[str, str]]]] = []
         while pending:
             representative = pending[0]
             try:
-                destination, hops = route_hops(
-                    start, point_key(representative), rng=rng or self.rng
-                )
+                destination, hops = route_hops(start, point_key(representative), rng=self.rng)
             except RoutingError as error:
-                error.trace = replay_hops(self.net, getattr(error, "hops", []), kind, 1)
+                error.trace = account_hops(scheduler, getattr(error, "hops", []), kind, 1)
                 raise
             # Point semantics (zero-padded comparison), matching the route
             # above: a key is covered iff this leaf holds its point.
@@ -290,6 +302,7 @@ class PGridNetwork:
 
     def _diffuse_regions(
         self,
+        scheduler: EventScheduler,
         regions: list[tuple[PGridPeer, list[str], list[tuple[str, str]]]],
         observer: str | None = None,
     ) -> list[tuple[PGridPeer, list[str], list[tuple[str, str]]]]:
@@ -304,8 +317,6 @@ class PGridNetwork:
             return regions
         from repro.load.diffusion import diffuse_route  # deferred: load imports pgrid
 
-        load = self.scheduler.load if self.scheduler else None
-        now = self.scheduler.now if self.scheduler else 0.0
         diffused = []
         for destination, region_keys, hops in regions:
             destination, hops = diffuse_route(
@@ -313,8 +324,8 @@ class PGridNetwork:
                 hops,
                 policy=self.replica_diffusion,
                 rng=self.rng,
-                load=load,
-                now=now,
+                load=scheduler.load,
+                now=scheduler.now,
                 hints=self.net.hints,
                 observer=observer,
             )
@@ -333,12 +344,11 @@ class PGridNetwork:
         whole sub-batch travels as one message sized by its item count, and
         each online replica receives one equally sized push.  Message counts
         therefore never exceed (and usually far undercut) the equivalent
-        sequence of single :meth:`insert` calls.  Regions fan out in
-        parallel; returns the combined trace.
+        sequence of single :meth:`insert` calls.
 
-        In event-driven mode the per-region chains and replica pushes run as
-        interleaved events on the simulated clock and the call completes at
-        the measured max across regions.
+        Every region's hop chain departs at the same instant; when a chain
+        arrives its replica pushes depart concurrently, and the call
+        completes at the measured max arrival over all regions and pushes.
         """
         if not items:
             return Trace.ZERO
@@ -346,68 +356,29 @@ class PGridNetwork:
         by_key: dict[str, list[tuple[str, object]]] = defaultdict(list)
         for key, item_id, value in items:
             by_key[key].append((item_id, value))
-        regions = []
-        for destination, region_keys, hops in self._route_regions(by_key, start, kind):
-            entries = [
-                Entry(key=key, item_id=item_id, value=value, version=self.next_version())
-                for key in region_keys
-                for item_id, value in by_key[key]
-            ]
-            for entry in entries:
-                destination.store.put(entry)
-            replica_ids = destination.online_replicas()
-            for replica_id in replica_ids:
-                replica = self.net.nodes[replica_id]
-                assert isinstance(replica, PGridPeer)
+        with self.clock() as scheduler:
+            chains = []
+            regions = self._route_regions(scheduler, by_key, start, kind)
+            for destination, region_keys, hops in regions:
+                entries = [
+                    Entry(key=key, item_id=item_id, value=value, version=self.next_version())
+                    for key in region_keys
+                    for item_id, value in by_key[key]
+                ]
                 for entry in entries:
-                    replica.store.put(entry)
-            regions.append((destination, hops, len(entries), replica_ids))
-
-        if self.scheduler is not None:
-            return self._run_regions_event(regions, kind)
-
-        branches = []
-        for destination, hops, batch, replica_ids in regions:
-            trace = replay_hops(self.net, hops, kind, batch)
-            pushes = [
-                self.net.send(destination.node_id, replica_id, kind, size=batch)
-                for replica_id in replica_ids
-            ]
-            if pushes:
-                trace = trace.then(Trace.parallel(pushes))
-            branches.append(trace)
-        return Trace.parallel(branches)
-
-    def _run_regions_event(
-        self,
-        regions: list[tuple[PGridPeer, list[tuple[str, str]], int, list[str]]],
-        kind: str,
-    ) -> Trace:
-        """Run insert-style region fan-outs as interleaved simulated events.
-
-        Every region's hop chain starts at the same instant; when a chain
-        arrives at its destination the replica pushes depart concurrently.
-        The combined trace completes at the max arrival over all regions and
-        pushes — measured, not composed.
-        """
-        scheduler = self.scheduler
-        assert scheduler is not None
-        chains = []
-        for destination, hops, batch, replica_ids in regions:
-
-            def pushes(
-                _time: float,
-                destination: PGridPeer = destination,
-                batch: int = batch,
-                replica_ids: list[str] = replica_ids,
-            ) -> list[tuple[str, str, str, int]]:
-                return [
-                    (destination.node_id, replica_id, kind, batch)
+                    destination.store.put(entry)
+                replica_ids = destination.online_replicas()
+                for replica_id in replica_ids:
+                    replica = self.net.nodes[replica_id]
+                    assert isinstance(replica, PGridPeer)
+                    for entry in entries:
+                        replica.store.put(entry)
+                pushes = [
+                    (destination.node_id, replica_id, kind, len(entries))
                     for replica_id in replica_ids
                 ]
-
-            chains.append((hops, kind, batch, pushes))
-        return scheduler.run_chains(chains)
+                chains.append((hops, kind, len(entries), lambda _time, pushes=pushes: pushes))
+            return scheduler.run_chains(chains)
 
     def lookup_many(
         self, keys, start: PGridPeer | None = None, kind: str = "lookup"
@@ -419,10 +390,10 @@ class PGridNetwork:
         per region is sized by the region's total result, mirroring
         :meth:`lookup`'s answer shipping.
 
-        In event-driven mode the per-region chains interleave on the
-        simulated clock (each destination reads its store at its arrival
-        instant) and the call completes when the last region's reply lands —
-        the max, not the sum, of the chain latencies.
+        The per-region chains interleave on the simulated clock, each
+        destination reads its store at its arrival instant, and the call
+        completes when the last region's reply lands — the max, not the sum,
+        of the chain latencies.
 
         With :attr:`replica_diffusion` enabled each region's last hop is
         redirected across the responsible replica group, so the batched read
@@ -433,60 +404,29 @@ class PGridNetwork:
         unique = set(keys)
         if not unique:
             return {}, Trace.ZERO
-        regions = self._route_regions(unique, start, kind)
-        regions = self._diffuse_regions(regions, observer=start.node_id)
         results: dict[str, list[Entry]] = {}
-        if self.scheduler is not None:
-            trace = self._lookup_regions_event(regions, results, start, kind)
-            return results, trace
-        branches = []
-        for destination, region_keys, hops in regions:
-            trace = replay_hops(self.net, hops, kind, len(region_keys))
-            found = 0
-            for key in region_keys:
-                entries = destination.store.get(key)
-                results[key] = entries
-                found += len(entries)
-            if destination is not start:
-                trace = trace.then(
-                    self.net.send(destination.node_id, start.node_id, kind, size=max(1, found))
-                )
-            branches.append(trace)
-        return results, Trace.parallel(branches)
+        with self.clock() as scheduler:
+            regions = self._route_regions(scheduler, unique, start, kind)
+            regions = self._diffuse_regions(scheduler, regions, observer=start.node_id)
+            chains = []
+            for destination, region_keys, hops in regions:
 
-    def _lookup_regions_event(
-        self,
-        regions: list[tuple[PGridPeer, list[str], list[tuple[str, str]]]],
-        results: dict[str, list[Entry]],
-        start: PGridPeer,
-        kind: str,
-    ) -> Trace:
-        """Event-driven multi-region lookup: chains out, replies back, max wins.
+                def arrived(
+                    _time: float,
+                    destination: PGridPeer = destination,
+                    region_keys: list[str] = region_keys,
+                ) -> list[tuple[str, str, str, int]]:
+                    found = 0
+                    for key in region_keys:
+                        entries = destination.store.get(key)
+                        results[key] = entries
+                        found += len(entries)
+                    if destination is not start:
+                        return [(destination.node_id, start.node_id, kind, max(1, found))]
+                    return []
 
-        Each destination reads its store *at its arrival instant*; a region
-        completes when its reply lands back at ``start``.
-        """
-        scheduler = self.scheduler
-        assert scheduler is not None
-        chains = []
-        for destination, region_keys, hops in regions:
-
-            def arrived(
-                _time: float,
-                destination: PGridPeer = destination,
-                region_keys: list[str] = region_keys,
-            ) -> list[tuple[str, str, str, int]]:
-                found = 0
-                for key in region_keys:
-                    entries = destination.store.get(key)
-                    results[key] = entries
-                    found += len(entries)
-                if destination is not start:
-                    return [(destination.node_id, start.node_id, kind, max(1, found))]
-                return []
-
-            chains.append((hops, kind, len(region_keys), arrived))
-        return scheduler.run_chains(chains)
+                chains.append((hops, kind, len(region_keys), arrived))
+            return results, scheduler.run_chains(chains)
 
     def delete(self, key: str, item_id: str, start: PGridPeer | None = None) -> tuple[bool, Trace]:
         """Remove an identity from the responsible group's online replicas.
@@ -496,17 +436,16 @@ class PGridNetwork:
         replicas only (a documented simplification of ref. [4]).
         """
         start = start or self.random_online_peer()
-        destination, trace = route(start, point_key(key), kind="delete", scheduler=self.scheduler)
-        removed = destination.store.delete(key, item_id)
-        pushes = []
-        for replica_id in destination.online_replicas():
-            replica = self.net.nodes[replica_id]
-            assert isinstance(replica, PGridPeer)
-            removed = replica.store.delete(key, item_id) or removed
-            pushes.append((destination.node_id, replica_id, "delete", 1))
-        if pushes:
-            trace = trace.then(self.ship_many(pushes))
-        return removed, trace
+        with self.clock() as scheduler:
+            destination, trace = route(start, point_key(key), kind="delete", scheduler=scheduler)
+            removed = destination.store.delete(key, item_id)
+            pushes = []
+            for replica_id in destination.online_replicas():
+                replica = self.net.nodes[replica_id]
+                assert isinstance(replica, PGridPeer)
+                removed = replica.store.delete(key, item_id) or removed
+                pushes.append((destination.node_id, replica_id, "delete", 1))
+            return removed, trace.then(self.ship_many(pushes))
 
     def update(
         self,

@@ -18,13 +18,10 @@ Both return ``(entries, trace, complete)`` — ``complete`` is False when some
 subtree was unreachable (all its replicas offline), matching the paper's
 best-effort guarantee discussion.
 
-When the overlay runs in event-driven mode (:meth:`PGridNetwork.event_driven`)
-the shower's fan-out tree is executed as interleaved events on the simulated
-clock: every edge of the tree departs when its parent actually received the
-query, sibling subtrees race each other, and the query completes when the
-last result funnels back — the measured counterpart of the analytic
-``Trace.parallel``.  The tree itself (which references are chosen) is
-identical in both models, so message counts agree.
+The shower first chooses its fan-out tree, then runs it as interleaved
+events on the overlay's scheduler (:meth:`PGridNetwork.clock`): every edge
+departs when its parent actually received the query, sibling subtrees race
+each other, and the query completes when the last result funnels back.
 """
 
 from __future__ import annotations
@@ -50,16 +47,7 @@ def range_query_shower(
     kind: str = "range",
 ) -> tuple[list[Entry], Trace, bool]:
     """Parallel (shower) range query; results funnel back to the initiator."""
-    start = start or pnet.random_online_peer()
-    rng = rng or pnet.rng
-    if pnet.scheduler is not None:
-        return _shower_event(
-            pnet, pnet.scheduler, start, key_range, rng, kind, collect=True, groups=None
-        )
-    entries, trace, complete = _shower_visit(
-        pnet, start, key_range, cover="", rng=rng, kind=kind, collect=True, groups=None
-    )
-    return entries, trace, complete
+    return _shower(pnet, key_range, start, rng, kind, collect=True, groups=None)
 
 
 def range_query_shower_groups(
@@ -75,80 +63,11 @@ def range_query_shower_groups(
     ``(peer_id, entries)`` pairs; the trace covers the forward fan-out only.
     Physical operators use this to choose their own data flow afterwards.
     """
-    start = start or pnet.random_online_peer()
-    rng = rng or pnet.rng
     groups: list[tuple[str, list[Entry]]] = []
-    if pnet.scheduler is not None:
-        _entries, trace, complete = _shower_event(
-            pnet, pnet.scheduler, start, key_range, rng, kind, collect=False, groups=groups
-        )
-        return groups, trace, complete
-    _entries, trace, complete = _shower_visit(
-        pnet, start, key_range, cover="", rng=rng, kind=kind, collect=False, groups=groups
+    _entries, trace, complete = _shower(
+        pnet, key_range, start, rng, kind, collect=False, groups=groups
     )
     return groups, trace, complete
-
-
-def _shower_visit(
-    pnet: PGridNetwork,
-    peer: PGridPeer,
-    key_range: KeyRange,
-    cover: str,
-    rng: random.Random,
-    kind: str,
-    collect: bool,
-    groups: list[tuple[str, list[Entry]]] | None,
-) -> tuple[list[Entry], Trace, bool]:
-    """Serve ``key_range`` restricted to the subtree ``cover`` from ``peer``.
-
-    ``peer``'s own leaf lies inside ``cover``; for every complementary
-    subtree at levels >= len(cover) that intersects the range, the query is
-    forwarded to one reference, which then covers that subtree.  With
-    ``collect`` the results flow back along the fan-out tree (one send per
-    edge, sized by the subtree's result); otherwise they stay at the serving
-    peers and are appended to ``groups``.
-    """
-    local = peer.store.scan(key_range)
-    if groups is not None and local:
-        groups.append((peer.node_id, local))
-    complete = True
-    branches: list[Trace] = []
-
-    for level in range(len(cover), len(peer.path)):
-        subtree = peer.required_prefix(level)
-        if not key_range.intersects_path(subtree):
-            continue
-        refs = peer.valid_refs(level)
-        if not refs:
-            complete = False
-            continue
-        ref_id = rng.choice(refs)
-        hop = pnet.net.send(peer.node_id, ref_id, kind, size=1)
-        child = pnet.net.nodes[ref_id]
-        sub_entries, sub_trace, sub_complete = _shower_visit(
-            pnet,
-            child,
-            key_range,
-            cover=subtree,
-            rng=rng,
-            kind=kind,
-            collect=collect,
-            groups=groups,
-        )
-        branch = hop.then(sub_trace)
-        if collect:
-            # Results return along the tree edge; size reflects the payload.
-            back = pnet.net.send(ref_id, peer.node_id, kind, size=max(1, len(sub_entries)))
-            branch = branch.then(back)
-            local.extend(sub_entries)
-        branches.append(branch)
-        complete = complete and sub_complete
-
-    trace = Trace.parallel(branches) if branches else Trace.ZERO
-    return local, trace, complete
-
-
-# -- event-driven shower ------------------------------------------------------
 
 
 @dataclass
@@ -169,12 +88,11 @@ def _expand_shower(
     cover: str,
     rng: random.Random,
 ) -> _ShowerNode:
-    """Choose the fan-out tree without sending anything.
+    """Choose the fan-out tree from ``peer`` without sending anything.
 
-    Reference choices are drawn in the exact order the synchronous
-    depth-first :func:`_shower_visit` draws them, so for a given seed both
-    execution models traverse the identical tree (and therefore send the
-    identical messages); only *when* each edge fires differs.
+    ``peer``'s own leaf lies inside ``cover``; for every complementary
+    subtree at levels >= len(cover) that intersects the range, one reference
+    is drawn (depth first), which then covers that subtree.
     """
     node = _ShowerNode(peer=peer, cover=cover, local=peer.store.scan(key_range))
     for level in range(len(cover), len(peer.path)):
@@ -206,12 +124,11 @@ def _shower_cost(node: _ShowerNode, collect: bool) -> tuple[int, int]:
     return messages, critical
 
 
-def _shower_event(
+def _shower(
     pnet: PGridNetwork,
-    scheduler: EventScheduler,
-    start: PGridPeer,
     key_range: KeyRange,
-    rng: random.Random,
+    start: PGridPeer | None,
+    rng: random.Random | None,
     kind: str,
     collect: bool,
     groups: list[tuple[str, list[Entry]]] | None,
@@ -220,20 +137,24 @@ def _shower_event(
 
     Each tree edge departs at the instant its parent received the query, so
     sibling subtrees race; with ``collect`` the results funnel back along
-    the tree and a node completes when its slowest child's reply lands.
-    The returned trace carries the *measured* latency and completion time.
+    the tree (one send per edge, sized by the subtree's result) and a node
+    completes when its slowest child's reply lands; otherwise results stay
+    at the serving peers and are appended to ``groups``.  The returned trace
+    carries the *measured* latency and completion time.
     """
-    tree = _expand_shower(pnet, start, key_range, cover="", rng=rng)
-    start_time = scheduler.now
+    start = start or pnet.random_online_peer()
+    tree = _expand_shower(pnet, start, key_range, cover="", rng=rng or pnet.rng)
     messages, critical_hops = _shower_cost(tree, collect)
-    outcome: dict[str, object] = {"entries": [], "time": start_time}
+    with pnet.clock() as scheduler:
+        start_time = scheduler.now
+        outcome: dict[str, object] = {"entries": [], "time": start_time}
 
-    def finished(entries: list[Entry], time: float) -> None:
-        outcome["entries"] = entries
-        outcome["time"] = time
+        def finished(entries: list[Entry], time: float) -> None:
+            outcome["entries"] = entries
+            outcome["time"] = time
 
-    _schedule_shower_node(scheduler, tree, start_time, kind, collect, groups, finished)
-    scheduler.run()
+        _schedule_shower_node(scheduler, tree, start_time, kind, collect, groups, finished)
+        scheduler.run()
     completion = float(outcome["time"])  # type: ignore[arg-type]
     entries = outcome["entries"] if collect else []
     trace = Trace(
@@ -354,36 +275,37 @@ def _sequential_walk(
     entries: list[Entry] = []
     complete = True
 
-    try:
-        current, trace = route(
-            start, _left_edge(key_range.lo), kind=kind, rng=rng, scheduler=pnet.scheduler
-        )
-    except RoutingError as error:
-        return [], getattr(error, "trace", Trace.ZERO), False
-
-    for _step in range(max_leaves):
-        local = current.store.scan(key_range)
-        if groups is not None and local:
-            groups.append((current.node_id, local))
-        entries.extend(local)
-        next_key = increment_path(current.path)
-        if next_key is None or not key_range.contains(next_key):
-            break
+    with pnet.clock() as scheduler:
         try:
-            current, hop_trace = route(
-                current, _left_edge(next_key), kind=kind, rng=rng, scheduler=pnet.scheduler
+            current, trace = route(
+                start, _left_edge(key_range.lo), kind=kind, rng=rng, scheduler=scheduler
             )
         except RoutingError as error:
-            trace = trace.then(getattr(error, "trace", Trace.ZERO))
-            complete = False
-            break
-        trace = trace.then(hop_trace)
+            return [], getattr(error, "trace", Trace.ZERO), False
 
-    # Ship the collected result back to the initiator.
-    if collect and current is not start:
-        trace = trace.then(
-            pnet.ship(current.node_id, start.node_id, kind, size=max(1, len(entries)))
-        )
+        for _step in range(max_leaves):
+            local = current.store.scan(key_range)
+            if groups is not None and local:
+                groups.append((current.node_id, local))
+            entries.extend(local)
+            next_key = increment_path(current.path)
+            if next_key is None or not key_range.contains(next_key):
+                break
+            try:
+                current, hop_trace = route(
+                    current, _left_edge(next_key), kind=kind, rng=rng, scheduler=scheduler
+                )
+            except RoutingError as error:
+                trace = trace.then(getattr(error, "trace", Trace.ZERO))
+                complete = False
+                break
+            trace = trace.then(hop_trace)
+
+        # Ship the collected result back to the initiator.
+        if collect and current is not start:
+            trace = trace.then(
+                pnet.ship(current.node_id, start.node_id, kind, size=max(1, len(entries)))
+            )
     return entries, trace, complete
 
 

@@ -44,26 +44,22 @@ operations in :mod:`repro.pgrid.network`:
 
 * **deferred accounting** — :func:`route_hops` discovers the hop sequence
   without sending anything, so bulk operations can group keys by destination
-  first and then charge each route *once per region* with the region's real
-  batch size (:func:`replay_hops`), or schedule it as a callback chain on an
-  event-driven scheduler so chains to different regions interleave in
-  simulated time (:func:`schedule_hops`).
+  first and then schedule each route *once per region*, at the region's real
+  batch size, as a callback chain on an
+  :class:`~repro.net.scheduler.EventScheduler`, where chains to different
+  regions interleave in simulated time.
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 from repro.errors import RoutingError
+from repro.net.scheduler import EventScheduler
 from repro.net.trace import Trace
 from repro.pgrid.keys import common_prefix_length, responsible
 from repro.pgrid.peer import PGridPeer
-
-if TYPE_CHECKING:
-    from repro.net.network import Network
-    from repro.net.scheduler import Completion, EventScheduler
 
 #: Hard bound on route length; ordinary routes are O(log N) so hitting this
 #: indicates a broken overlay rather than a long route.
@@ -206,8 +202,8 @@ def route_hops(
     """Discover the route from ``start`` towards ``key`` without sending.
 
     Returns ``(destination, hops)`` where hops are ``(src_id, dst_id)``
-    pairs; callers account them with :func:`replay_hops` at whatever message
-    size the operation carries.  On failure raises :class:`RoutingError`
+    pairs; callers schedule them (e.g. :func:`account_hops`) at whatever
+    message size the operation carries.  On failure raises :class:`RoutingError`
     with the partial hop list attached as ``.hops``.
     """
     rng = rng or start.network.rng
@@ -286,32 +282,6 @@ def _warm_transit(start: PGridPeer, hops: list[tuple[str, str]], destination: PG
             peer.route_cache.put(destination.path, destination.node_id)
 
 
-def replay_hops(network: "Network", hops: list[tuple[str, str]], kind: str, size: int) -> Trace:
-    """Account a discovered hop sequence as sent messages of ``size``."""
-    trace = Trace.ZERO
-    for src, dst in hops:
-        trace = trace.then(network.send(src, dst, kind, size))
-    return trace
-
-
-def schedule_hops(
-    scheduler: "EventScheduler",
-    hops: list[tuple[str, str]],
-    kind: str,
-    size: int,
-    at: float | None = None,
-    on_done: "Completion | None" = None,
-) -> None:
-    """Schedule a discovered hop sequence as an event-driven callback chain.
-
-    The event-driven counterpart of :func:`replay_hops`: same messages, same
-    sizes, but hop *i + 1* departs when hop *i* is delivered on the
-    simulated clock, so chains to different regions interleave.  ``on_done``
-    fires with the arrival instant at the destination.
-    """
-    scheduler.chain(hops, kind, size, at=at, on_done=on_done)
-
-
 def route(
     start: PGridPeer,
     key: str,
@@ -319,41 +289,33 @@ def route(
     size: int = 1,
     rng: random.Random | None = None,
     use_cache: bool = True,
-    scheduler: "EventScheduler | None" = None,
+    scheduler: EventScheduler | None = None,
 ) -> tuple[PGridPeer, Trace]:
     """Route a message from ``start`` towards ``key``.
 
-    Returns the destination peer and the accumulated causal trace.  Raises
+    The discovered chain runs on ``scheduler`` (a fresh one when omitted):
+    the clock advances to the destination's arrival instant, which the
+    returned trace carries as ``completion_time``.  Raises
     :class:`RoutingError` (with the partial trace attached as ``.trace``)
     when the route dead-ends, e.g. because every peer covering the key's
     region is offline.
-
-    With a ``scheduler`` the discovered chain runs in simulated time instead
-    of being replayed analytically: the clock advances to the destination's
-    arrival instant and the returned trace carries it as
-    ``completion_time``.  Message accounting is identical either way.
     """
+    scheduler = scheduler or EventScheduler(start.network)
     try:
         destination, hops = route_hops(start, key, rng=rng, use_cache=use_cache)
     except RoutingError as error:
-        error.trace = account_hops(start.network, getattr(error, "hops", []), kind, size, scheduler)
+        error.trace = account_hops(scheduler, getattr(error, "hops", []), kind, size)
         raise
-    return destination, account_hops(start.network, hops, kind, size, scheduler)
+    return destination, account_hops(scheduler, hops, kind, size)
 
 
 def account_hops(
-    network: "Network",
-    hops: list[tuple[str, str]],
-    kind: str,
-    size: int,
-    scheduler: "EventScheduler | None",
+    scheduler: EventScheduler, hops: list[tuple[str, str]], kind: str, size: int
 ) -> Trace:
-    """Charge a hop sequence in the active execution model."""
-    if scheduler is None:
-        return replay_hops(network, hops, kind, size)
+    """Run a hop sequence as one callback chain on ``scheduler`` and drain it."""
     start_time = scheduler.now
     arrivals: list[float] = []
-    schedule_hops(scheduler, hops, kind, size, at=start_time, on_done=arrivals.append)
+    scheduler.chain(hops, kind, size, at=start_time, on_done=arrivals.append)
     scheduler.run()
     finish = arrivals[0] if arrivals else start_time
     return Trace(

@@ -67,9 +67,9 @@ class OpResult:
     def shipped_to(self, ctx: ExecutionContext, dest_id: str, kind: str = "ship") -> "OpResult":
         """Move every group to one peer (parallel sends, sized by payload).
 
-        The sends go through :meth:`PGridNetwork.ship_many`, so under
-        event-driven execution the shipping wave fans out concurrently on
-        the simulated clock and completes at the slowest group's arrival.
+        The sends go through :meth:`PGridNetwork.ship_many`, so the shipping
+        wave fans out concurrently on the simulated clock and completes at
+        the slowest group's arrival.
         """
         rows: list[Binding] = []
         sends: list[tuple[str, str, str, int]] = []

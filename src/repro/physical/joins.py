@@ -41,7 +41,7 @@ from repro.physical.base import (
     PhysicalOperator,
     match_postings,
 )
-from repro.pgrid.routing import point_key, replay_hops, route_hops
+from repro.pgrid.routing import point_key, route_hops
 from repro.triples.index import IndexKind, av_key, oid_key, v_key
 from repro.vql.ast import Expression, Literal, TriplePattern, Var
 
@@ -204,9 +204,8 @@ class RehashJoin(_JoinBase):
         )
         complete = left_result.complete and right_result.complete
         # First pass: discover every bucket's route (no messages yet), so the
-        # shipping wave can then be charged in whichever execution model is
-        # active — analytic replay, or interleaved events at a common start.
-        plans: list[tuple[list[tuple[str, str]], tuple[str, str, int] | None]] = []
+        # whole shipping wave can then depart at one common instant.
+        plans: list[tuple[list[tuple[str, str]], list[tuple[str, str, str, int]]]] = []
         failed_routes: list[list[tuple[str, str]]] = []
         for result, is_left in ((left_result, True), (right_result, False)):
             for peer_id, rows in result.groups:
@@ -234,12 +233,12 @@ class RehashJoin(_JoinBase):
                     candidates = [dest.node_id, *dest.online_replicas()]
                     rendezvous_id = min(candidates)
                     if rendezvous_id != dest.node_id:
-                        payload = (dest.node_id, rendezvous_id, len(bucket))
+                        sends = [(dest.node_id, rendezvous_id, "join-rehash", len(bucket))]
                     elif dest is not producer:
-                        payload = (producer.node_id, dest.node_id, len(bucket))
+                        sends = [(producer.node_id, dest.node_id, "join-rehash", len(bucket))]
                     else:
-                        payload = None
-                    plans.append((hops, payload))
+                        sends = []
+                    plans.append((hops, sends))
                     for row in bucket:
                         arrivals[rendezvous_id][str(value_key)].append((row, is_left))
 
@@ -269,46 +268,22 @@ class RehashJoin(_JoinBase):
     @staticmethod
     def _ship_buckets(
         ctx: ExecutionContext,
-        plans: list[tuple[list[tuple[str, str]], tuple[str, str, int] | None]],
+        plans: list[tuple[list[tuple[str, str]], list[tuple[str, str, str, int]]]],
         failed_routes: list[list[tuple[str, str]]],
     ) -> Trace:
-        """Charge the per-bucket rendezvous shipping wave.
+        """Run the per-bucket rendezvous shipping wave.
 
-        Causal-trace mode replays every bucket's hops analytically and takes
-        the slowest branch; event-driven mode starts all chains at the same
-        instant so producers race on the simulated clock, and the wave
-        completes at the measured max.  Partial hops of failed routes are
-        accounted (they were sent) but never complete, matching the
-        best-effort semantics of the synchronous path.
+        All chains start at the same instant so producers race on the
+        simulated clock, and the wave completes at the measured max.  Partial
+        hops of failed routes are accounted (they were sent) but never
+        complete — best-effort semantics.
         """
-        pnet = ctx.pnet
-        scheduler = pnet.scheduler
-        if scheduler is None:
-            branches = []
-            for hops, payload in plans:
-                trace = replay_hops(pnet.net, hops, "join-rehash", 1)
-                if payload is not None:
-                    src, dst, size = payload
-                    trace = trace.then(pnet.net.send(src, dst, "join-rehash", size))
-                branches.append(trace)
-            for hops in failed_routes:
-                replay_hops(pnet.net, hops, "join-rehash", 1)
-            return Trace.parallel(branches) if branches else Trace.ZERO
-
-        chains = []
-        for hops, payload in plans:
-
-            def arrived(
-                _time: float, payload: tuple[str, str, int] | None = payload
-            ) -> list[tuple[str, str, str, int]]:
-                if payload is None:
-                    return []
-                src, dst, size = payload
-                return [(src, dst, "join-rehash", size)]
-
-            chains.append((hops, "join-rehash", 1, arrived))
+        chains = [
+            (hops, "join-rehash", 1, lambda _time, sends=sends: sends) for hops, sends in plans
+        ]
         untracked = [(hops, "join-rehash", 1) for hops in failed_routes]
-        return scheduler.run_chains(chains, untracked=untracked)
+        with ctx.pnet.clock() as scheduler:
+            return scheduler.run_chains(chains, untracked=untracked)
 
 
 def _rendezvous_value(value_key: tuple) -> str:

@@ -129,6 +129,19 @@ class TestExecutionModes:
         )
         assert _canonical(shower.rows) == _canonical(sequential.rows)
 
+    def test_non_latin1_range_filter_matches_reference(self):
+        """Strings beyond Latin-1 keep their order in the key space, so a range
+        filter over them loses no rows in any distributed mode."""
+        store = UniStore.build(num_peers=32, replication=2, seed=7)
+        for name in ("Āda", "Łukasz", "Ńina", "Zed", "Ärzte", "Bob"):
+            store.insert_tuple({"name": name})
+        vql = "SELECT ?x WHERE {(?p,'name',?x) FILTER ?x < 'Ō'}"
+        reference = store.execute(vql, mode="reference")
+        assert len(reference.rows) == 6
+        for mode in ("optimized", "mqp"):
+            result = store.execute(vql, mode=mode)
+            assert _canonical(result.rows) == _canonical(reference.rows), mode
+
     def test_explain_mentions_both_levels(self, conference_store):
         text = conference_store.explain("SELECT ?x WHERE {(?x,'age',30)}")
         assert "-- logical --" in text and "-- physical --" in text

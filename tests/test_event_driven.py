@@ -1,14 +1,21 @@
-"""Event-driven (simulated-time) execution of routed operations.
+"""Routed operations on the event scheduler (simulated time).
 
-Covers the scheduler layer end to end, per the PR's checklist:
+Covers the scheduler layer end to end:
 
 * a fan-out over k regions with known per-hop latencies completes at the
   *max*, not the sum, of its chain latencies;
 * deterministic replay — the same seed yields the identical delivery log and
   ``completion_time``;
-* the event-driven and causal-trace models agree on message counts (and on
-  results), from bulk primitives all the way up to full VQL queries.
+* with pinned links the measured completion of ``lookup_many``,
+  ``insert_many``, the shower and whole VQL queries equals the analytic max
+  of the per-chain hop sums, and an attached scheduler and the implicit
+  per-call one agree on messages and results;
+* without an attached scheduler every top-level call runs on its own fresh
+  clock and log.
 """
+
+import math
+import random
 
 import pytest
 
@@ -18,9 +25,10 @@ from repro.errors import NodeUnreachableError
 from repro.net import ConstantLatency, EventScheduler, Network, PlanetLabLatency, ZeroLatency
 from repro.net.trace import Trace
 from repro.pgrid import build_network, bulk_load, encode_string
+from repro.pgrid import network as network_module
 from repro.pgrid.datastore import Entry
 from repro.pgrid.network import PGridNetwork
-from repro.pgrid.range_query import range_query_shower
+from repro.pgrid.range_query import _expand_shower, range_query_shower
 from repro.pgrid.keys import KeyRange
 
 WORDS = [f"word{i:03d}" for i in range(40)]
@@ -43,6 +51,62 @@ def _loaded(seed, latency_model=None):
 
 def _entry_sets(results):
     return {key: {(e.item_id, e.value) for e in entries} for key, entries in results.items()}
+
+
+def _pinned(seed, load=True):
+    """A twin-able overlay whose every directed link has a fixed lognormal
+    latency and no jitter (the E11 idiom), so hop sums are exact."""
+    pnet = _overlay(seed, latency_model=ZeroLatency())
+    rng = random.Random(1911)
+    ids = [peer.node_id for peer in pnet.peers]
+    for src in ids:
+        for dst in ids:
+            if src != dst:
+                pnet.net.set_link_latency(
+                    src, dst, rng.lognormvariate(math.log(0.04), 0.95), symmetric=False
+                )
+    if load:
+        bulk_load(pnet, ITEMS)
+    return pnet
+
+
+def _hop_sum(pnet, hops):
+    return sum(pnet.net.link_latency(src, dst) for src, dst in hops)
+
+
+def _region_chains(pnet, keys, start):
+    """``(destination, hops)`` per region, as the bulk operations discover them."""
+    with pnet.clock() as scheduler:
+        regions = pnet._route_regions(scheduler, keys, start, "probe")
+    return [(destination, hops) for destination, _keys, hops in regions]
+
+
+def _lookup_analytic(pnet, keys, start):
+    """Max over regions of the chain's hop sum plus its reply hop."""
+    finish = []
+    for destination, hops in _region_chains(pnet, keys, start):
+        if destination is not start:
+            hops = [*hops, (destination.node_id, start.node_id)]
+        finish.append(_hop_sum(pnet, hops))
+    return max(finish)
+
+
+def _insert_analytic(pnet, keys, start):
+    """Max over regions of the chain's hop sum plus its slowest replica push."""
+    finish = []
+    for destination, hops in _region_chains(pnet, keys, start):
+        pushes = [_hop_sum(pnet, [(destination.node_id, r)]) for r in destination.online_replicas()]
+        finish.append(_hop_sum(pnet, hops) + max(pushes, default=0.0))
+    return max(finish)
+
+
+def _shower_analytic(pnet, node):
+    """Critical path of a collect-mode shower tree: out, subtree, back."""
+    branches = [0.0]
+    for child in node.children:
+        edge = [(node.peer.node_id, child.peer.node_id), (child.peer.node_id, node.peer.node_id)]
+        branches.append(_hop_sum(pnet, edge) + _shower_analytic(pnet, child))
+    return max(branches)
 
 
 class TestKnownLatencyFanout:
@@ -84,11 +148,13 @@ class TestKnownLatencyFanout:
         ]
         assert sched.pending() == 0
 
-    def test_causal_trace_mode_agrees_on_the_max(self):
+    def test_implicit_scheduler_agrees_on_the_max(self):
         pnet, a = self._tiny_overlay()
         _results, trace = pnet.lookup_many(["011", "10"], start=a)
-        assert trace.latency == pytest.approx(1.0)  # analytic parallel max
-        assert trace.completion_time == 0.0  # never on a simulated clock
+        assert trace.latency == pytest.approx(1.0)  # max of 0.4 and 1.0
+        # A fresh clock for the call: it starts at 0 and is gone afterwards.
+        assert trace.completion_time == pytest.approx(1.0)
+        assert pnet.scheduler is None
 
     def test_scheduler_refuses_offline_destination(self):
         pnet, a = self._tiny_overlay()
@@ -124,104 +190,109 @@ class TestDeterministicReplay:
 
 
 class TestModeAgreement:
-    """Same seeds, twin overlays: trace mode vs event mode."""
+    """Twin overlays: the implicit per-call scheduler vs an attached one.
+
+    Both run the one execution path, so they agree on messages and results;
+    with pinned links each measured completion equals the analytic max of
+    the per-chain hop sums.
+    """
 
     def test_lookup_many_messages_results_and_max_latency(self):
-        trace_net = _loaded(77, latency_model=ConstantLatency(0.05))
-        event_net = _loaded(77, latency_model=ConstantLatency(0.05))
-        results_t, trace_t = trace_net.lookup_many(KEYS, start=trace_net.peers[0])
-        with event_net.net.frame() as frame, event_net.event_driven():
-            results_e, trace_e = event_net.lookup_many(KEYS, start=event_net.peers[0])
-        assert _entry_sets(results_t) == _entry_sets(results_e)
-        assert trace_t.messages == trace_e.messages == frame.messages
-        # With constant per-link latency the measured max equals the analytic max.
-        assert trace_e.latency == pytest.approx(trace_t.latency)
-        assert frame.completion_time == pytest.approx(trace_e.completion_time)
+        oracle_net, implicit_net, attached_net = _pinned(77), _pinned(77), _pinned(77)
+        analytic = _lookup_analytic(oracle_net, KEYS, oracle_net.peers[0])
+        results_i, trace_i = implicit_net.lookup_many(KEYS, start=implicit_net.peers[0])
+        with attached_net.net.frame() as frame, attached_net.event_driven():
+            results_a, trace_a = attached_net.lookup_many(KEYS, start=attached_net.peers[0])
+        assert _entry_sets(results_i) == _entry_sets(results_a)
+        assert trace_i.messages == trace_a.messages == frame.messages
+        assert trace_i.latency == pytest.approx(analytic, rel=1e-9)
+        assert trace_a.latency == pytest.approx(analytic, rel=1e-9)
+        assert frame.completion_time == pytest.approx(trace_a.completion_time)
 
     def test_insert_many_messages_and_replica_placement(self):
-        trace_net = _overlay(78, latency_model=ConstantLatency(0.05))
-        event_net = _overlay(78, latency_model=ConstantLatency(0.05))
-        trace_t = trace_net.insert_many(ITEMS, start=trace_net.peers[0])
-        with event_net.event_driven():
-            trace_e = event_net.insert_many(ITEMS, start=event_net.peers[0])
-        assert trace_t.messages == trace_e.messages
-        assert trace_t.hops == trace_e.hops
-        assert trace_e.latency == pytest.approx(trace_t.latency)
+        oracle_net = _pinned(78, load=False)
+        implicit_net, attached_net = _pinned(78, load=False), _pinned(78, load=False)
+        analytic = _insert_analytic(oracle_net, KEYS, oracle_net.peers[0])
+        trace_i = implicit_net.insert_many(ITEMS, start=implicit_net.peers[0])
+        with attached_net.event_driven():
+            trace_a = attached_net.insert_many(ITEMS, start=attached_net.peers[0])
+        assert trace_i.messages == trace_a.messages
+        assert trace_i.hops == trace_a.hops
+        assert trace_i.latency == pytest.approx(analytic, rel=1e-9)
+        assert trace_a.latency == pytest.approx(analytic, rel=1e-9)
 
         def stored(pnet):
             return {(e.key, e.item_id, e.value) for e in pnet.all_entries()}
 
-        assert stored(trace_net) == stored(event_net)
+        assert stored(implicit_net) == stored(attached_net)
         for key, item_id, value in ITEMS:
-            for peer in event_net.responsible_group(key):
+            for peer in attached_net.responsible_group(key):
                 entry = peer.store.get_entry(key, item_id)
                 assert entry is not None and entry.value == value
 
     def test_shower_fanout_same_tree_measured_max(self):
-        trace_net = _loaded(79, latency_model=ConstantLatency(0.05))
-        event_net = _loaded(79, latency_model=ConstantLatency(0.05))
+        oracle_net, implicit_net, attached_net = _pinned(79), _pinned(79), _pinned(79)
         key_range = KeyRange(encode_string("word000"), encode_string("word030"))
-        entries_t, trace_t, complete_t = range_query_shower(
-            trace_net, key_range, start=trace_net.peers[0]
+        tree = _expand_shower(oracle_net, oracle_net.peers[0], key_range, "", oracle_net.rng)
+        assert tree.children
+        analytic = _shower_analytic(oracle_net, tree)
+        entries_i, trace_i, complete_i = range_query_shower(
+            implicit_net, key_range, start=implicit_net.peers[0]
         )
-        with event_net.event_driven():
-            entries_e, trace_e, complete_e = range_query_shower(
-                event_net, key_range, start=event_net.peers[0]
+        with attached_net.event_driven():
+            entries_a, trace_a, complete_a = range_query_shower(
+                attached_net, key_range, start=attached_net.peers[0]
             )
-        assert complete_t and complete_e
-        assert {(e.key, e.item_id) for e in entries_t} == {(e.key, e.item_id) for e in entries_e}
-        assert trace_t.messages == trace_e.messages
-        assert trace_t.hops == trace_e.hops
-        assert trace_e.latency == pytest.approx(trace_t.latency)
+        assert complete_i and complete_a
+        assert {(e.key, e.item_id) for e in entries_i} == {(e.key, e.item_id) for e in entries_a}
+        assert trace_i.messages == trace_a.messages
+        assert trace_i.hops == trace_a.hops
+        assert trace_i.latency == pytest.approx(analytic, rel=1e-9)
+        assert trace_a.latency == pytest.approx(analytic, rel=1e-9)
+
+    @staticmethod
+    def _conference_store(seed, qgrams=False):
+        store = UniStore.build(
+            num_peers=32,
+            replication=2,
+            seed=seed,
+            latency_model=ConstantLatency(0.05),
+            enable_qgram_index=qgrams,
+        )
+        workload = ConferenceWorkload(
+            num_authors=20, num_publications=40, num_conferences=8, seed=seed
+        )
+        workload.load_into(store)
+        return store, workload
 
     def test_full_queries_agree_end_to_end(self):
-        def build(seed=4242):
-            store = UniStore.build(
-                num_peers=32,
-                replication=2,
-                seed=seed,
-                latency_model=ConstantLatency(0.05),
-                enable_qgram_index=True,
-            )
-            workload = ConferenceWorkload(
-                num_authors=20, num_publications=40, num_conferences=8, seed=seed
-            )
-            workload.load_into(store)
-            return store, workload
-
-        trace_store, workload = build()
-        event_store, _workload = build()
+        # Every link costs 0.05 s with no jitter, so the analytic max of the
+        # per-chain hop sums is 0.05 s per hop on the critical path.
+        implicit_store, workload = self._conference_store(4242, qgrams=True)
+        attached_store, _workload = self._conference_store(4242, qgrams=True)
         for name, vql in workload.query_mix().items():
-            result_t = trace_store.execute(vql)
-            with event_store.event_driven():
-                result_e = event_store.execute(vql)
-            assert result_t.sorted_rows() == result_e.sorted_rows(), name
-            assert result_t.messages == result_e.messages, name
-            assert result_e.trace.completion_time > 0.0, name
+            result_i = implicit_store.execute(vql)
+            with attached_store.event_driven():
+                result_a = attached_store.execute(vql)
+            assert result_i.sorted_rows() == result_a.sorted_rows(), name
+            assert result_i.messages == result_a.messages, name
+            assert result_i.trace.hops == result_a.trace.hops, name
+            for result in (result_i, result_a):
+                assert result.answer_time == pytest.approx(0.05 * result.trace.hops), name
+                assert result.trace.completion_time > 0.0, name
 
     def test_mqp_mode_runs_in_simulated_time(self):
-        def build(seed=4243):
-            store = UniStore.build(
-                num_peers=32,
-                replication=2,
-                seed=seed,
-                latency_model=ConstantLatency(0.05),
-            )
-            workload = ConferenceWorkload(
-                num_authors=20, num_publications=40, num_conferences=8, seed=seed
-            )
-            workload.load_into(store)
-            return store, workload
-
-        trace_store, workload = build()
-        event_store, _workload = build()
+        implicit_store, workload = self._conference_store(4243)
+        attached_store, _workload = self._conference_store(4243)
         join_query = workload.query_mix()["join"]
-        result_t = trace_store.execute(join_query, mode="mqp")
-        with event_store.event_driven():
-            result_e = event_store.execute(join_query, mode="mqp")
-        assert result_t.sorted_rows() == result_e.sorted_rows()
-        assert result_t.messages == result_e.messages
-        assert result_e.trace.completion_time > 0.0
+        result_i = implicit_store.execute(join_query, mode="mqp")
+        with attached_store.event_driven():
+            result_a = attached_store.execute(join_query, mode="mqp")
+        assert result_i.sorted_rows() == result_a.sorted_rows()
+        assert result_i.messages == result_a.messages
+        for result in (result_i, result_a):
+            assert result.answer_time == pytest.approx(0.05 * result.trace.hops)
+            assert result.trace.completion_time > 0.0
 
 
 class TestSingleOps:
@@ -238,13 +309,35 @@ class TestSingleOps:
         assert removed and delete_trace.completion_time >= insert_trace.completion_time
         assert sched.pending() == 0
 
-    def test_detach_restores_causal_trace_mode(self):
+    def test_detach_restores_per_call_clocks(self):
         pnet = _loaded(92)
         with pnet.event_driven():
-            assert pnet.scheduler is not None
+            _entries, shared = pnet.lookup(KEYS[0], start=pnet.peers[0])
+            _entries, later = pnet.lookup(KEYS[1], start=pnet.peers[0])
+        assert later.completion_time == pytest.approx(shared.completion_time + later.latency)
         assert pnet.scheduler is None
         _entries, trace = pnet.lookup(KEYS[0], start=pnet.peers[0])
-        assert trace.completion_time == 0.0
+        assert trace.completion_time == pytest.approx(trace.latency)  # clock restarted at 0
+
+    def test_back_to_back_calls_share_no_log_or_clock(self, monkeypatch):
+        pnet = _loaded(93, latency_model=PlanetLabLatency())
+        created = []
+
+        class Recording(EventScheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(network_module, "EventScheduler", Recording)
+        _results, first = pnet.lookup_many(KEYS[:20], start=pnet.peers[0])
+        second = pnet.insert_many(ITEMS[20:], start=pnet.peers[1])
+        assert len(created) == 2  # one implicit scheduler per top-level call
+        for scheduler, trace in zip(created, (first, second)):
+            assert len(scheduler.log) == trace.messages  # only its own deliveries
+            assert scheduler.now == pytest.approx(trace.completion_time)
+            assert trace.completion_time == pytest.approx(trace.latency)  # started at 0
+            assert scheduler.pending() == 0
+        assert pnet.scheduler is None and pnet._implicit is None
 
 
 class TestTraceCompletionTime:

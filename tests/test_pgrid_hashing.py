@@ -15,6 +15,7 @@ from repro.pgrid.hashing import (
 from repro.pgrid.keys import compare_keys, key_fraction
 
 SAFE_TEXT = st.text(alphabet=st.characters(min_codepoint=3, max_codepoint=126), max_size=10)
+UNICODE_TEXT = st.text(alphabet=st.characters(min_codepoint=3), max_size=8)
 NUMBERS = st.one_of(
     st.integers(min_value=-(2**40), max_value=2**40),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -40,6 +41,13 @@ class TestStringEncoding:
             assert compare_keys(encode_string(a), encode_string(b)) >= 0
         else:
             assert encode_string(a) == encode_string(b)
+
+    @given(UNICODE_TEXT, UNICODE_TEXT)
+    def test_order_and_prefix_preservation_beyond_latin1(self, a, b):
+        # UTF-8 byte order is code-point order, and UTF-8 is concatenative.
+        ka, kb = encode_string(a), encode_string(b)
+        assert compare_keys(ka, kb) == (a > b) - (a < b)
+        assert encode_string(a + b).startswith(ka)
 
     @given(SAFE_TEXT, SAFE_TEXT)
     def test_injective_on_safe_text(self, a, b):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.pgrid.datastore import DataStore, Entry
 from repro.pgrid.keys import (
     KeyRange,
     common_prefix_length,
@@ -165,3 +166,46 @@ class TestKeyRange:
     def test_contains_matches_fraction_interval(self, lo, key):
         kr = KeyRange.at_least(lo)
         assert kr.contains(key) == (key_fraction(key) >= key_fraction(lo))
+
+
+class TestFractionOracle:
+    """String comparison of canonical keys agrees with exact binary fractions."""
+
+    @staticmethod
+    def _oracle_range(lo, hi):
+        return key_fraction(lo), key_fraction(hi) if hi is not None else Fraction(1)
+
+    @given(BITS, st.one_of(st.none(), BITS), BITS, BITS)
+    def test_key_range_agrees_with_fractions(self, lo, hi, key, path):
+        kr = KeyRange(lo, hi)
+        q_lo, q_hi = self._oracle_range(lo, hi)
+        p_lo, p_hi = path_interval(path)
+        a, b = key_fraction(key), key_fraction(path)
+        assert compare_keys(key, path) == (a > b) - (a < b)
+        assert kr.contains(key) == (q_lo <= a < q_hi)
+        assert kr.intersects_path(path) == (p_lo < q_hi and q_lo < p_hi)
+        assert kr.is_empty() == (q_lo >= q_hi)
+        if hi is not None:
+            assert intervals_intersect(path, lo, hi) == (
+                p_lo <= key_fraction(hi) and key_fraction(lo) < p_hi
+            )
+
+    @given(BITS, st.one_of(st.none(), BITS), BITS, st.one_of(st.none(), BITS))
+    def test_equality_and_hash_agree_with_fractions(self, lo, hi, lo2, hi2):
+        first, second = KeyRange(lo, hi), KeyRange(lo2, hi2)
+        same = self._oracle_range(lo, hi) == self._oracle_range(lo2, hi2)
+        assert (first == second) == same
+        if same:
+            assert hash(first) == hash(second)
+
+    @given(st.lists(BITS, max_size=30), BITS, st.one_of(st.none(), BITS))
+    def test_datastore_scan_agrees_with_fractions(self, keys, lo, hi):
+        store = DataStore()
+        for index, key in enumerate(keys):
+            store.put(Entry(key=key, item_id=f"i{index}", value=key))
+        q_lo, q_hi = self._oracle_range(lo, hi)
+        got = sorted((e.key, e.item_id) for e in store.scan(KeyRange(lo, hi)))
+        expected = sorted(
+            (key, f"i{index}") for index, key in enumerate(keys) if q_lo <= key_fraction(key) < q_hi
+        )
+        assert got == expected
