@@ -44,19 +44,20 @@ MAX_DEPTH = 48
 def balanced_paths(num_groups: int) -> list[str]:
     """A complete partition with ``num_groups`` leaves, balanced by count.
 
-    Builds the full trie of depth ``floor(log2 n)`` and splits leaves
-    left-to-right until the leaf count is exact, so any group count (not
-    just powers of two) yields a valid partition.
+    With ``d = floor(log2 n)``, lays out the full trie of depth ``d`` in key
+    order and splits its first ``n - 2**d`` leaves into ``p+"0"``/``p+"1"``,
+    so any group count (not just powers of two) yields a valid partition,
+    sorted, in O(n · d).  This is the layout that repeatedly splitting the
+    shallowest, leftmost leaf converges to.
     """
     if num_groups < 1:
         raise ValueError("need at least one group")
+    depth = num_groups.bit_length() - 1
     paths = [""]
-    while len(paths) < num_groups:
-        # Split the shallowest, leftmost leaf — keeps the trie near-balanced.
-        paths.sort(key=lambda p: (len(p), p))
-        victim = paths.pop(0)
-        paths.extend([victim + "0", victim + "1"])
-    return sorted(paths)
+    for _ in range(depth):
+        paths = [path + bit for path in paths for bit in "01"]
+    extra = num_groups - len(paths)
+    return [path + bit for path in paths[:extra] for bit in "01"] + paths[extra:]
 
 
 def data_split_paths(keys: list[str], num_groups: int, max_depth: int = MAX_DEPTH) -> list[str]:
@@ -97,34 +98,27 @@ def wire_routing_tables(pnet: PGridNetwork, rng: random.Random | None = None) ->
     """(Re)build every peer's routing table by global sampling.
 
     For each peer and level, samples up to ``fanout`` peers whose paths carry
-    the required complementary prefix.  Also rebuilds replica lists.  This is
-    the steady state the decentralized exchange protocol converges to.
+    the required complementary prefix.  Those peers form one contiguous slice
+    of the path-sorted peer list, found by bisection; the sample draws indices
+    from that slice, so the cost is O(N · depth · fanout) overall.  A peer is
+    never in its own complementary slice, and a level whose slice is empty
+    (a gap in an incomplete partition) gets no references.  Also rebuilds
+    replica lists.  This is the steady state the decentralized exchange
+    protocol converges to.
     """
     rng = rng or pnet.rng
     ordered = sorted(pnet.peers, key=lambda p: p.path)
     paths = [p.path for p in ordered]
-
-    def peers_with_prefix(prefix: str) -> list[PGridPeer]:
-        lo = bisect_left(paths, prefix)
-        upper = increment_path(prefix)
-        hi = bisect_left(paths, upper) if upper is not None else len(paths)
-        # Peers whose path is a strict prefix of `prefix` also cover it.
-        result = ordered[lo:hi]
-        if not result:
-            result = [p for p in ordered if prefix.startswith(p.path)]
-        return result
-
     groups = pnet.leaf_groups()
     for peer in pnet.peers:
         peer.routing = type(peer.routing)(fanout=pnet.fanout)
         for level in range(len(peer.path)):
             prefix = peer.required_prefix(level)
-            candidates = [p for p in peers_with_prefix(prefix) if p is not peer]
-            if not candidates:
-                continue
-            sample = rng.sample(candidates, min(pnet.fanout, len(candidates)))
-            for ref in sample:
-                peer.routing.add(level, ref.node_id)
+            lo = bisect_left(paths, prefix)
+            upper = increment_path(prefix)
+            hi = bisect_left(paths, upper) if upper is not None else len(paths)
+            for index in rng.sample(range(lo, hi), min(pnet.fanout, hi - lo)):
+                peer.routing.add(level, ordered[index].node_id)
         peer.replicas = [p.node_id for p in groups.get(peer.path, []) if p is not peer]
 
 

@@ -1,12 +1,16 @@
 """P-Grid overlay: construction, routing, inserts/lookups, fault tolerance."""
 
+import hashlib
+import heapq
 import math
 import random
 import string
+from bisect import bisect_left
 
 import pytest
 
 from repro.errors import RoutingError
+from repro.net.network import Network
 from repro.pgrid import (
     PGridNetwork,
     balanced_paths,
@@ -17,6 +21,7 @@ from repro.pgrid import (
     encode_string,
     is_complete_partition,
     route,
+    wire_routing_tables,
 )
 from repro.pgrid.peer import RoutingTable
 
@@ -28,6 +33,29 @@ def _random_words(count, seed, length=6):
 
 
 class TestPathLayouts:
+    @staticmethod
+    def _split_shallowest_leftmost(max_groups):
+        """Oracle: split the shallowest, leftmost leaf until the count is exact.
+
+        Yields the sorted leaves at every count.  The victim is the smallest
+        ``(depth, path)``; its children take its place in the sorted list.
+        """
+        heap = [(0, "")]
+        leaves = [""]
+        yield leaves
+        while len(leaves) < max_groups:
+            _, victim = heapq.heappop(heap)
+            children = [victim + "0", victim + "1"]
+            index = bisect_left(leaves, victim)
+            leaves[index : index + 1] = children
+            for child in children:
+                heapq.heappush(heap, (len(child), child))
+            yield leaves
+
+    def test_balanced_paths_matches_split_loop_oracle(self):
+        for count, leaves in enumerate(self._split_shallowest_leftmost(4096), start=1):
+            assert balanced_paths(count) == leaves, count
+
     def test_balanced_paths_power_of_two(self):
         paths = balanced_paths(8)
         assert len(paths) == 8
@@ -38,6 +66,8 @@ class TestPathLayouts:
         paths = balanced_paths(5)
         assert len(paths) == 5
         assert is_complete_partition(paths)
+        # The leftmost depth-2 leaf is split; the other three stay.
+        assert paths == ["000", "001", "01", "10", "11"]
 
     def test_balanced_paths_single(self):
         assert balanced_paths(1) == [""]
@@ -81,6 +111,19 @@ class TestOracleConstruction:
                 for ref_id in refs:
                     assert pnet.peer(ref_id).path.startswith(prefix)
 
+    def test_overlapping_partition_gets_only_prefix_matching_refs(self):
+        # "0" overlaps "00": the level-1 slice of "00" (prefix "01") is empty.
+        pnet = PGridNetwork(Network(seed=8), seed=8)
+        for node_id, path in (("a", "0"), ("b", "00"), ("c", "1")):
+            pnet.add_peer(node_id, path=path)
+        wire_routing_tables(pnet)
+        for peer in pnet.peers:
+            for level in peer.routing.levels():
+                prefix = peer.required_prefix(level)
+                for ref_id in peer.routing.refs(level):
+                    assert pnet.peer(ref_id).path.startswith(prefix), (peer.path, level)
+        assert pnet.peer("b").routing.refs(1) == []
+
     def test_replica_lists_symmetric(self):
         pnet = build_network(16, replication=2, seed=7, split_by="population")
         for peer in pnet.peers:
@@ -96,6 +139,44 @@ class TestOracleConstruction:
             build_network(4, replication=0)
         with pytest.raises(ValueError):
             build_network(4, split_by="magic")
+
+
+def _overlay_digest(pnet):
+    """Hash of every peer's id, path, per-level references and replicas."""
+    digest = hashlib.sha256()
+    for peer in pnet.peers:
+        refs = tuple((level, tuple(peer.routing.refs(level))) for level in peer.routing.levels())
+        digest.update(repr((peer.node_id, peer.path, refs, tuple(peer.replicas))).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestOverlayFingerprints:
+    """Pinned overlays: any change to construction's layout or RNG order fails here.
+
+    ``data_words`` shapes the trie by a data sample (``split_by="data"``).
+    """
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (dict(num_peers=1), "f6b257f96bfea425"),
+            (dict(num_peers=2, seed=5), "8656fc648c225eff"),
+            (dict(num_peers=7, seed=1, split_by="population"), "37cfdd73a40e2804"),
+            (dict(num_peers=256, replication=2, seed=3), "f43332cd1e77908a"),
+            (
+                dict(num_peers=999, replication=3, seed=11, split_by="population"),
+                "0e52c7768e8501e0",
+            ),
+            (dict(num_peers=4097, seed=7, fanout=3, split_by="population"), "92714149350b96e3"),
+            (dict(num_peers=300, replication=2, seed=2, data_words=2000), "b34bc8111d3c531b"),
+            (dict(num_peers=777, seed=9, data_words=5000), "803dbb2ecca0a309"),
+        ],
+    )
+    def test_build_network_fingerprint(self, config, expected):
+        config = dict(config)
+        words = config.pop("data_words", None)
+        keys = [encode_string(w) for w in _random_words(words, 4)] if words else None
+        assert _overlay_digest(build_network(data_keys=keys, **config)) == expected
 
 
 class TestRoutingAndLookup:
