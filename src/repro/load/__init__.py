@@ -15,7 +15,7 @@ Layers a per-peer workload model over the event kernel of
   benchmark E12d measures under overload.
 """
 
-from repro.load.diffusion import POLICIES, choose_replica, diffuse_route, pick_member, replica_set
+from repro.load.diffusion import POLICIES, choose_replica, diffuse_route, pick_member
 from repro.load.drivers import (
     MAX_REJECT_RETRIES,
     MAX_REROUTES,
@@ -63,7 +63,6 @@ __all__ = [
     "choose_replica",
     "diffuse_route",
     "pick_member",
-    "replica_set",
     "AdmissionPolicy",
     "ThresholdAdmission",
     "ProbabilisticAdmission",

@@ -19,25 +19,39 @@ Two arrival processes:
 Operations route as they launch (hop discovery uses the overlay state *at
 launch time*), pick keys Zipf-skewed so popular keys create hot regions, and
 optionally spread reads over replica groups
-(:func:`~repro.load.diffusion.diffuse_route`).  Churn composes: a
-:class:`~repro.net.churn.ChurnModel` session trace can be replayed on the
-same simulator (``run(churn_trace=...)``), and every hop re-validates
-liveness at delivery time — an operation that lands on a peer that died
-mid-flight re-routes from its previous hop (bounded retries), so no
-in-flight operation is ever silently lost: every :class:`OpRecord` ends
-completed or failed, deterministically.
+(:func:`~repro.load.diffusion.diffuse_route`).  Every message goes through
+the scheduler: a route's hops through
+:meth:`~repro.net.scheduler.EventScheduler.chain`, the reply or the replica
+pushes through :meth:`~repro.net.scheduler.EventScheduler.gather`.  The
+chain's continuations decide what happens off the happy path:
+
+* a *dead hop* (``on_dead``: the peer is offline as the hop departs, or
+  died while the message was in flight or queued) re-routes the operation
+  from that hop's sender, at most :data:`MAX_REROUTES` times;
+* a *shed hop* (``on_rejected``: admission control NACKed it) retries
+  another replica-group member when the final hop was shed, and re-routes
+  from the sender otherwise, at most :data:`MAX_REJECT_RETRIES` times;
+* a route that dead-ends still sends the hops it travelled (they stop at a
+  dead hop), and the operation fails with the routing error.
+
+Churn composes: a :class:`~repro.net.churn.ChurnModel` session trace can be
+replayed on the same simulator (``run(churn_trace=...)``).  No in-flight
+operation is ever silently lost: every :class:`OpRecord` ends completed or
+failed, deterministically.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.bench.harness import mean, percentile
 from repro.bench.workloads import poisson_arrivals, zipf_cumulative, zipf_rank
 from repro.errors import RoutingError
-from repro.load.diffusion import diffuse_route, pick_member
+from repro.load.diffusion import POLICIES, diffuse_route, pick_member
 from repro.net.churn import ChurnEvent, ChurnModel
+from repro.net.scheduler import EventScheduler
 from repro.pgrid.datastore import Entry
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
@@ -109,186 +123,104 @@ def goodput(records: list[OpRecord], slo: float, horizon: float) -> float:
     return good / horizon
 
 
-class _OpEngine:
-    """Shared launch/hop/arrive machinery behind both drivers."""
+@dataclass(slots=True)
+class _Op:
+    """One driven operation in flight: route, walk, reroute, retry, finish.
 
-    def __init__(
-        self,
-        pnet: PGridNetwork,
-        rng: random.Random,
-        diffusion: str = "none",
-        op_kind: str = "lookup",
-        reply_kind: str = "result",
-    ):
-        if pnet.scheduler is None:
-            raise ValueError("drivers need event-driven execution: use pnet.event_driven()")
-        self.pnet = pnet
-        self.scheduler = pnet.scheduler
-        self.rng = rng
-        self.diffusion = diffusion
-        self.op_kind = op_kind
-        self.reply_kind = reply_kind
-        self.records: list[OpRecord] = []
+    Holds what every step needs — the record, the initiating peer, the
+    current route and the completion hook — so the hop continuations handed
+    to :meth:`EventScheduler.chain` are plain bound methods.  Every hop and
+    follow-up is sent as a ``"lookup"`` (inserts and replica pushes too) and
+    every reply as a ``"result"``.
+    """
 
-    # -- lifecycle -----------------------------------------------------------
+    driver: _DriverBase
+    record: OpRecord
+    origin: PGridPeer
+    on_done: Callable[[OpRecord], None] | None
+    destination: PGridPeer | None = None
+    hops: list[tuple[str, str]] | None = None
 
-    def launch(self, record: OpRecord, start: PGridPeer, on_done=None) -> None:
-        """Start one operation now; ``on_done(record)`` fires at completion."""
-        self.records.append(record)
-        self._route_leg(record, start, start, self.scheduler.now, on_done)
-
-    def _finish(self, record: OpRecord, time: float, ok: bool, error: str | None, on_done) -> None:
-        record.completed = time
-        record.ok = ok
-        record.error = error
-        if on_done is not None:
-            on_done(record)
-
-    # -- routing legs --------------------------------------------------------
-
-    def _route_leg(
-        self,
-        record: OpRecord,
-        current: PGridPeer,
-        origin: PGridPeer,
-        time: float,
-        on_done,
-    ) -> None:
+    def route(self, current: PGridPeer, time: float) -> None:
         """Discover (and maybe diffuse) a route from ``current``, then walk it."""
+        driver = self.driver
         try:
-            destination, hops = route_hops(current, point_key(record.key), rng=self.rng)
+            destination, hops = route_hops(current, point_key(self.record.key), rng=driver.rng)
         except RoutingError as error:
-            # The partial hops were travelled before the dead end; account
-            # them as an untracked chain so message totals stay honest.
-            self._account_partial(getattr(error, "hops", []), time)
-            self._finish(record, time, ok=False, error=str(error), on_done=on_done)
+            # The partial hops were travelled before the dead end; send them
+            # (the chain just ends at a dead hop) so message totals stay honest.
+            partial = getattr(error, "hops", [])
+            driver.scheduler.chain(partial, "lookup", at=time, on_dead=lambda _i, _t: None)
+            self.finish(time, ok=False, error=str(error))
             return
-        if record.kind == "lookup":
+        if self.record.kind == "lookup":
             destination, hops = diffuse_route(
                 destination,
                 hops,
-                policy=self.diffusion,
-                rng=self.rng,
-                load=self.scheduler.load,
+                policy=driver.diffusion,
+                rng=driver.rng,
+                load=driver.scheduler.load,
                 now=time,
-                hints=self.pnet.net.hints,
-                observer=origin.node_id,
+                hints=driver.pnet.net.hints,
+                observer=self.origin.node_id,
             )
-        self._walk(record, destination, hops, 0, origin, time, on_done)
+        self.walk(destination, hops, time)
 
-    def _account_partial(self, hops: list[tuple[str, str]], time: float) -> None:
-        """Replay the hops of a failed route, liveness-checked per hop.
-
-        Unlike ``scheduler.chain`` this stops (instead of raising inside the
-        simulator) when churn kills a hop's destination before the message
-        reaches it, so one dead-end route can never crash the whole run.
-        """
-
-        def step(index: int, at: float) -> None:
-            if index == len(hops):
-                return
-            src_id, dst_id = hops[index]
-            dst = self.pnet.net.nodes.get(dst_id)
-            if dst is None or not dst.online:
-                return
-            self.scheduler.send_at(
-                at, src_id, dst_id, self.op_kind, 1, on_delivered=lambda t: step(index + 1, t)
-            )
-
-        step(0, time)
-
-    def _walk(
-        self,
-        record: OpRecord,
-        destination: PGridPeer,
-        hops: list[tuple[str, str]],
-        index: int,
-        origin: PGridPeer,
-        time: float,
-        on_done,
-    ) -> None:
-        """Traverse one hop, re-validating liveness at every delivery."""
-        if index == len(hops):
-            self._arrive(record, destination, origin, time, on_done)
+    def walk(self, destination: PGridPeer, hops: list[tuple[str, str]], time: float) -> None:
+        """Send ``hops`` towards ``destination``; a local operation arrives now."""
+        self.destination = destination
+        self.hops = hops
+        if not hops:
+            self.arrive(time)
             return
-        src_id, dst_id = hops[index]
-        dst = self.pnet.net.nodes.get(dst_id)
-        if dst is None or not dst.online or not isinstance(dst, PGridPeer):
-            self._reroute(record, src_id, origin, time, on_done)
-            return
-
-        def delivered(at: float) -> None:
-            if not dst.online:
-                # The peer died while the message was in flight or queued;
-                # its drained work is redone from the previous hop.
-                self._reroute(record, src_id, origin, at, on_done)
-                return
-            self._walk(record, destination, hops, index + 1, origin, at, on_done)
-
-        def rejected(at: float) -> None:
-            self._rejected(record, src_id, dst_id, destination, hops, index, origin, at, on_done)
-
-        self.scheduler.send_at(
-            time, src_id, dst_id, self.op_kind, 1, on_delivered=delivered, on_rejected=rejected
+        self.driver.scheduler.chain(
+            hops,
+            "lookup",
+            at=time,
+            on_done=self.arrive,
+            on_dead=self.dead,
+            on_rejected=self.rejected,
         )
 
-    def _rejected(
-        self,
-        record: OpRecord,
-        src_id: str,
-        dst_id: str,
-        destination: PGridPeer,
-        hops: list[tuple[str, str]],
-        index: int,
-        origin: PGridPeer,
-        time: float,
-        on_done,
-    ) -> None:
-        """The peer at ``dst_id`` shed this operation's hop; retry elsewhere.
+    def dead(self, index: int, time: float) -> None:
+        """Hop ``index``'s peer was offline at departure or died before
+        serving it; its work is redone from the hop's sender."""
+        self.reroute(self.hops[index][0], time)
+
+    def rejected(self, index: int, time: float) -> None:
+        """The peer of hop ``index`` shed this operation; retry elsewhere.
 
         A reject at the *final* hop retries another member of the responsible
         replica group (every member holds the data); a reject at a transit
         hop re-routes from the last live peer, where hint-aware reference
         choice steers the new route around the saturated peer.  Both paths
         are bounded by :data:`MAX_REJECT_RETRIES`; exhausting the budget
-        fails the operation *reported* (``error="rejected"``), never
+        fails the operation *reported* (``error="rejected…"``), never
         silently.
         """
+        record = self.record
+        src_id, dst_id = self.hops[index]
         record.rejections += 1
         record.rejected_by.append(dst_id)
         if record.rejections > MAX_REJECT_RETRIES:
-            self._finish(
-                record, time, ok=False, error="rejected: retry budget exhausted", on_done=on_done
-            )
+            self.finish(time, ok=False, error="rejected: retry budget exhausted")
             return
-        src = self.pnet.net.nodes.get(src_id)
+        src = self.driver.pnet.net.nodes.get(src_id)
         if src is None or not src.online:
-            self._reroute(record, src_id, origin, time, on_done)
+            self.reroute(src_id, time)
             return
-        final_hop = index == len(hops) - 1 and dst_id == destination.node_id
+        final_hop = index == len(self.hops) - 1 and dst_id == self.destination.node_id
         if final_hop and record.kind == "lookup":
-            alternative = self._alternative_member(record, destination, src_id)
+            alternative = self.alternative_member(src_id)
             if alternative is not None:
-                self._walk(
-                    record,
-                    alternative,
-                    [(src_id, alternative.node_id)],
-                    0,
-                    origin,
-                    time,
-                    on_done,
-                )
+                self.walk(alternative, [(src_id, alternative.node_id)], time)
                 return
-            self._finish(
-                record, time, ok=False, error="rejected: no replica admitted", on_done=on_done
-            )
+            self.finish(time, ok=False, error="rejected: no replica admitted")
             return
         # Transit-hop reject (or a shed write): route again from the sender.
-        self._route_leg(record, src, origin, time, on_done)
+        self.route(src, time)
 
-    def _alternative_member(
-        self, record: OpRecord, destination: PGridPeer, chooser_id: str
-    ) -> PGridPeer | None:
+    def alternative_member(self, chooser_id: str) -> PGridPeer | None:
         """An untried replica-group member to retry a shed read at.
 
         The chooser is the peer that received the reject NACK and sends the
@@ -300,11 +232,12 @@ class _OpEngine:
         """
         from repro.pgrid.replication import online_group  # deferred: pgrid imports load
 
-        members = [p for p in online_group(destination) if p.node_id not in record.rejected_by]
+        driver, tried = self.driver, self.record.rejected_by
+        members = [p for p in online_group(self.destination) if p.node_id not in tried]
         if not members:
             return None
-        hints = self.pnet.net.hints
-        if self.diffusion == "least-busy-oracle":
+        hints = driver.pnet.net.hints
+        if driver.diffusion == "least-busy-oracle":
             policy = "least-busy-oracle"
         elif hints is not None:
             policy = "least-busy"
@@ -313,88 +246,69 @@ class _OpEngine:
         return pick_member(
             members,
             policy,
-            rng=self.rng,
-            load=self.scheduler.load,
-            now=self.scheduler.now,
+            rng=driver.rng,
+            load=driver.scheduler.load,
+            now=driver.scheduler.now,
             hints=hints,
             observer=chooser_id,
         )
 
-    def _reroute(self, record: OpRecord, from_id: str, origin: PGridPeer, time, on_done) -> None:
+    def reroute(self, from_id: str, time: float) -> None:
         """Re-route after a mid-flight failure, from the last live hop."""
+        record = self.record
         record.reroutes += 1
         if record.reroutes > MAX_REROUTES:
-            self._finish(record, time, ok=False, error="too many reroutes", on_done=on_done)
+            self.finish(time, ok=False, error="too many reroutes")
             return
-        peer = self.pnet.net.nodes.get(from_id)
+        peer = self.driver.pnet.net.nodes.get(from_id)
         if peer is None or not peer.online or not isinstance(peer, PGridPeer):
-            peer = origin if origin.online else None
+            peer = self.origin if self.origin.online else None
         if peer is None:
-            self._finish(record, time, ok=False, error="initiator offline", on_done=on_done)
+            self.finish(time, ok=False, error="initiator offline")
             return
-        self._route_leg(record, peer, origin, time, on_done)
+        self.route(peer, time)
 
-    # -- destination work ----------------------------------------------------
-
-    def _arrive(
-        self, record: OpRecord, destination: PGridPeer, origin: PGridPeer, time: float, on_done
-    ) -> None:
+    def arrive(self, time: float) -> None:
+        """Destination work: store and push an insert, or answer a lookup."""
+        record, destination, origin = self.record, self.destination, self.origin
+        scheduler = self.driver.scheduler
         if record.kind == "insert":
-            self._apply_insert(record, destination, time, on_done)
+            pnet = self.driver.pnet
+            entry = Entry(
+                key=record.key,
+                item_id=f"drv-{record.index}",
+                value=f"v{record.index}",
+                version=pnet.next_version(),
+            )
+            destination.store.put(entry)
+            pushes = []
+            for replica_id in destination.online_replicas():
+                pnet.net.nodes[replica_id].store.put(entry)
+                pushes.append((destination.node_id, replica_id, "lookup", 1))
+            scheduler.gather(time, pushes, self.finish)
             return
         entries = destination.store.get(record.key)
         record.entries = len(entries)
         if destination is origin:
-            self._finish(record, time, ok=True, error=None, on_done=on_done)
-            return
-        if not origin.online:
-            self._finish(record, time, ok=False, error="initiator offline", on_done=on_done)
-            return
+            self.finish(time)
+        elif not origin.online:
+            self.finish(time, ok=False, error="initiator offline")
+        else:
+            reply = (destination.node_id, origin.node_id, "result", max(1, len(entries)))
+            scheduler.gather(time, [reply], self.finish)
 
-        def replied(at: float) -> None:
-            self._finish(record, at, ok=True, error=None, on_done=on_done)
-
-        self.scheduler.send_at(
-            time,
-            destination.node_id,
-            origin.node_id,
-            self.reply_kind,
-            max(1, len(entries)),
-            on_delivered=replied,
-        )
-
-    def _apply_insert(self, record: OpRecord, destination: PGridPeer, time, on_done) -> None:
-        entry = Entry(
-            key=record.key,
-            item_id=f"drv-{record.index}",
-            value=f"v{record.index}",
-            version=self.pnet.next_version(),
-        )
-        destination.store.put(entry)
-        replica_ids = destination.online_replicas()
-        pending = len(replica_ids)
-        if not pending:
-            self._finish(record, time, ok=True, error=None, on_done=on_done)
-            return
-        latest = [time]
-
-        def pushed(at: float) -> None:
-            nonlocal pending
-            pending -= 1
-            latest[0] = max(latest[0], at)
-            if pending == 0:
-                self._finish(record, latest[0], ok=True, error=None, on_done=on_done)
-
-        for replica_id in replica_ids:
-            replica = self.pnet.net.nodes[replica_id]
-            replica.store.put(entry)
-            self.scheduler.send_at(
-                time, destination.node_id, replica_id, self.op_kind, 1, on_delivered=pushed
-            )
+    def finish(self, time: float, ok: bool = True, error: str | None = None) -> None:
+        record = self.record
+        record.completed = time
+        record.ok = ok
+        record.error = error
+        if self.on_done is not None:
+            self.on_done(record)
 
 
 class _DriverBase:
-    """Common setup: key sampling, gateway choice, churn replay."""
+    """Common setup and per-run state: key sampling, gateway choice, churn
+    replay, and the records of the operations launched so far."""
 
     def __init__(
         self,
@@ -410,6 +324,8 @@ class _DriverBase:
             raise ValueError("need at least one key to drive")
         if not 0.0 <= insert_fraction <= 1.0:
             raise ValueError("insert_fraction must be in [0, 1]")
+        if diffusion not in POLICIES:
+            raise ValueError(f"unknown diffusion policy {diffusion!r} (use one of {POLICIES})")
         self.pnet = pnet
         self.keys = list(keys)
         self.key_skew = key_skew
@@ -418,6 +334,8 @@ class _DriverBase:
         self.diffusion = diffusion
         self.rng = random.Random(seed)
         self._key_cumulative = zipf_cumulative(len(self.keys), key_skew)
+        self.scheduler: EventScheduler | None = None
+        self.records: list[OpRecord] = []
 
     def _pick_key(self) -> str:
         return self.keys[zipf_rank(self._key_cumulative, self.rng.random())]
@@ -434,20 +352,27 @@ class _DriverBase:
                 return self.rng.choice(candidates)
         return self.pnet.random_online_peer(self.rng)
 
-    def _engine(self) -> _OpEngine:
-        return _OpEngine(self.pnet, self.rng, diffusion=self.diffusion)
+    def _begin(self, churn_trace: list[ChurnEvent] | None) -> EventScheduler:
+        """Start a run on the attached scheduler and replay ``churn_trace``.
 
-    def _apply_churn(self, engine: _OpEngine, churn_trace: list[ChurnEvent] | None) -> None:
-        """Replay a churn session trace on the driver's shared simulator.
-
-        Event times are relative to the run start (the scheduler clock is
-        monotone across operations, so they are shifted onto it).
+        Churn event times are relative to the run start (the scheduler clock
+        is monotone across operations, so they are shifted onto it).
         """
-        if not churn_trace:
-            return
-        offset = engine.scheduler.now
-        shifted = [replace(event, time=event.time + offset) for event in churn_trace]
-        ChurnModel(list(self.pnet.peers), seed=0).apply_trace(engine.scheduler.sim, shifted)
+        scheduler = self.pnet.scheduler
+        if scheduler is None:
+            raise ValueError("drivers need event-driven execution: use pnet.event_driven()")
+        self.scheduler = scheduler
+        self.records = []
+        if churn_trace:
+            offset = scheduler.now
+            shifted = [replace(event, time=event.time + offset) for event in churn_trace]
+            ChurnModel(list(self.pnet.peers), seed=0).apply_trace(scheduler.sim, shifted)
+        return scheduler
+
+    def _launch(self, record: OpRecord, start: PGridPeer, on_done=None) -> None:
+        """Start one operation now; ``on_done(record)`` fires at completion."""
+        self.records.append(record)
+        _Op(self, record, start, on_done).route(start, self.scheduler.now)
 
 
 class OpenLoopDriver(_DriverBase):
@@ -473,20 +398,18 @@ class OpenLoopDriver(_DriverBase):
         self.horizon = horizon
 
     def run(self, churn_trace: list[ChurnEvent] | None = None) -> list[OpRecord]:
-        engine = self._engine()
-        scheduler = engine.scheduler
-        self._apply_churn(engine, churn_trace)
+        scheduler = self._begin(churn_trace)
         start_time = scheduler.now
         for index, offset in enumerate(poisson_arrivals(self.rng, self.rate, self.horizon)):
             t = start_time + offset
             record = OpRecord(index=index, kind=self._pick_kind(), key=self._pick_key(), issued=t)
 
             def fire(record: OpRecord = record) -> None:
-                engine.launch(record, self._pick_gateway())
+                self._launch(record, self._pick_gateway())
 
             scheduler.sim.schedule_at(t, fire)
         scheduler.run()
-        return engine.records
+        return self.records
 
 
 class ClosedLoopDriver(_DriverBase):
@@ -516,25 +439,20 @@ class ClosedLoopDriver(_DriverBase):
         self.think_time = think_time
 
     def run(self, churn_trace: list[ChurnEvent] | None = None) -> list[OpRecord]:
-        engine = self._engine()
-        scheduler = engine.scheduler
-        self._apply_churn(engine, churn_trace)
-        counter = [0]
-
+        scheduler = self._begin(churn_trace)
         def issue(remaining: int) -> None:
             record = OpRecord(
-                index=counter[0],
+                index=len(self.records),
                 kind=self._pick_kind(),
                 key=self._pick_key(),
                 issued=scheduler.now,
             )
-            counter[0] += 1
 
             def done(_record: OpRecord) -> None:
                 if remaining > 1:
                     scheduler.sim.schedule(self.think_time, lambda: issue(remaining - 1))
 
-            engine.launch(record, self._pick_gateway(), on_done=done)
+            self._launch(record, self._pick_gateway(), on_done=done)
 
         start_time = scheduler.now
         for _client in range(self.clients):
@@ -544,4 +462,4 @@ class ClosedLoopDriver(_DriverBase):
                 lambda: issue(self.ops_per_client),
             )
         scheduler.run()
-        return engine.records
+        return self.records

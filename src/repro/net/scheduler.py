@@ -9,6 +9,16 @@ therefore *completes at the max* of its per-destination chains because that
 is when its last event fires — the paper's parallel-lookup latency argument,
 reproduced mechanically instead of assumed.
 
+Two primitives carry every routed message graph: :meth:`EventScheduler.chain`
+walks a hop sequence, and :meth:`EventScheduler.gather` sends follow-ups
+(replies, replica pushes) concurrently and completes at the last arrival.
+A chain may stop early through two continuations, each called with the
+hop's index: ``on_dead`` when the hop's peer is offline as the hop departs
+or is found offline at delivery (it died in flight or in its queue), and
+``on_rejected`` when admission control sheds the hop.  Without them a dead
+peer raises :class:`~repro.errors.NodeUnreachableError` at departure and a
+shed hop is parked and re-offered, so plain data operations stay lossless.
+
 Determinism: the simulator breaks time ties FIFO, every latency sample comes
 from the network's seeded RNGs, and deliveries are appended to
 :attr:`EventScheduler.log` in firing order — so the same seed replays the
@@ -73,6 +83,9 @@ Completion = Callable[[float], None]
 #: ``(src, dst, kind, size)`` messages, as accepted by :meth:`EventScheduler.fanout`.
 Sends = list[tuple[str, str, str, int]]
 
+#: Chain continuation invoked with a hop's index and the current instant.
+HopCallback = Callable[[int, float], None]
+
 #: One routed wave: ``(hops, kind, size, on_arrival)``; see :meth:`EventScheduler.run_chains`.
 ChainSpec = tuple[list[tuple[str, str]], str, int, Callable[[float], Sends]]
 
@@ -99,10 +112,10 @@ class EventScheduler:
 
     One scheduler wraps one :class:`~repro.net.network.Network` plus one
     :class:`EventSimulator`.  Operations schedule their message graphs
-    (:meth:`send_at`, :meth:`chain`, :meth:`fanout`) and then :meth:`run`
-    drains the heap; the clock is monotone across operations, so back-to-back
-    calls compose sequentially in simulated time while everything scheduled
-    before a drain overlaps.
+    (:meth:`send_at`, :meth:`chain`, :meth:`gather`, :meth:`fanout`) and
+    then :meth:`run` drains the heap; the clock is monotone across
+    operations, so back-to-back calls compose sequentially in simulated time
+    while everything scheduled before a drain overlaps.
     """
 
     def __init__(
@@ -266,61 +279,73 @@ class EventScheduler:
         size: int = 1,
         at: float | None = None,
         on_done: Completion | None = None,
+        on_dead: HopCallback | None = None,
+        on_rejected: HopCallback | None = None,
     ) -> None:
         """Schedule a hop sequence as a callback chain starting at ``at``.
 
-        Each delivery schedules the next hop, so independent chains
-        interleave hop-by-hop on the shared clock.  ``on_done`` fires with
-        the arrival instant of the last hop (or with the start instant for
-        an empty chain — still via the simulator, to keep ordering uniform).
+        Each delivery departs the next hop, so independent chains interleave
+        hop-by-hop on the shared clock.  ``on_done`` fires with the arrival
+        instant of the last hop (or with the start instant for an empty
+        chain — still via the simulator, to keep ordering uniform).
+
+        Two optional continuations stop the chain early, each called with
+        the hop's index and the current instant:
+
+        * ``on_dead`` — hop ``index``'s peer is offline as the hop departs,
+          or is found offline when the hop is delivered (it died while the
+          message was in flight or queued).  Without it a departure to a
+          dead peer raises :class:`NodeUnreachableError`.
+        * ``on_rejected`` — admission control shed hop ``index``; fires at
+          the NACK's arrival back at the hop's sender.  Without it a shed
+          hop is parked and re-offered (see :meth:`send_at`).
         """
         start = self.now if at is None else at
-
-        def step(index: int, time: float) -> None:
-            if index == len(hops):
-                if on_done is not None:
-                    on_done(time)
-                return
-            src, dst = hops[index]
-            self.send_at(
-                time,
-                src,
-                dst,
-                kind,
-                size,
-                on_delivered=lambda arrival: step(index + 1, arrival),
-            )
-
         if not hops:
             if on_done is not None:
                 self.sim.schedule_at(start, lambda: on_done(start))
             return
-        step(0, start)
+        _Chain(self, hops, kind, size, on_done, on_dead, on_rejected).step(start)
 
-    def fanout(
-        self,
-        sends: list[tuple[str, str, str, int]],
-        at: float | None = None,
-    ) -> Trace:
+    def gather(self, time: float, sends: Sends, on_done: Completion) -> None:
+        """Send ``(src, dst, kind, size)`` messages concurrently at ``time``.
+
+        ``on_done`` fires with the last arrival, or inline with ``time``
+        when there is nothing to send.
+        """
+        if not sends:
+            on_done(time)
+            return
+        if len(sends) == 1:  # its one arrival is the last
+            self.send_at(time, *sends[0], on_delivered=on_done)
+            return
+        state = [len(sends), time]  # messages still in flight, latest arrival
+
+        def arrived(arrival: float) -> None:
+            state[0] -= 1
+            state[1] = max(state[1], arrival)
+            if state[0] == 0:
+                on_done(state[1])
+
+        for src, dst, kind, size in sends:
+            self.send_at(time, src, dst, kind, size, on_delivered=arrived)
+
+    def fanout(self, sends: Sends, at: float | None = None) -> Trace:
         """Schedule ``(src, dst, kind, size)`` messages concurrently and drain.
 
         All messages depart at the same instant; the returned trace completes
         at the max arrival.
         """
         start = self.now if at is None else at
-        completions: list[float] = []
-        accounted = 0
-        for src, dst, kind, size in sends:
-            if src != dst:
-                accounted += 1
-            self.send_at(start, src, dst, kind, size, on_delivered=completions.append)
+        done: list[float] = []
+        self.gather(start, sends, done.append)
         self.run()
-        finish = max(completions, default=start)
+        accounted = sum(1 for src, dst, _kind, _size in sends if src != dst)
         return Trace(
             messages=accounted,
             hops=1 if accounted else 0,
-            latency=finish - start,
-            completion_time=finish,
+            latency=done[0] - start,
+            completion_time=done[0],
         )
 
     def run_chains(
@@ -356,20 +381,10 @@ class EventScheduler:
                 on_arrival: Callable = on_arrival,
             ) -> None:
                 sends = on_arrival(time)
-                if not sends:
-                    completions.append(time)
-                    return
-                totals["messages"] += len(sends)
-                totals["critical"] = max(totals["critical"], len(hops) + 1)
-                for src, dst, send_kind, send_size in sends:
-                    self.send_at(
-                        time,
-                        src,
-                        dst,
-                        send_kind,
-                        send_size,
-                        on_delivered=completions.append,
-                    )
+                if sends:
+                    totals["messages"] += len(sends)
+                    totals["critical"] = max(totals["critical"], len(hops) + 1)
+                self.gather(time, sends, completions.append)
 
             self.chain(hops, kind, size, at=start_time, on_done=arrived)
         for hops, kind, size in untracked:
@@ -390,3 +405,56 @@ class EventScheduler:
     def pending(self) -> int:
         """Number of events still queued on the simulator."""
         return self.sim.pending()
+
+
+@dataclass(slots=True)
+class _Chain:
+    """One hop chain in flight (see :meth:`EventScheduler.chain`).
+
+    A chain has at most one hop in flight, so ``index`` names it; the hop
+    callbacks are bound methods rather than nested closures, so a chain
+    leaves no reference cycle behind.
+    """
+
+    scheduler: EventScheduler
+    hops: list[tuple[str, str]]
+    kind: str
+    size: int
+    on_done: Completion | None
+    on_dead: HopCallback | None
+    on_rejected: HopCallback | None
+    index: int = 0
+
+    def step(self, time: float) -> None:
+        """Depart hop ``index`` at ``time``, or finish after the last hop."""
+        if self.index == len(self.hops):
+            if self.on_done is not None:
+                self.on_done(time)
+            return
+        src, dst = self.hops[self.index]
+        if self.on_dead is not None:
+            node = self.scheduler.net.nodes.get(dst)
+            if node is None or not node.online:
+                self.on_dead(self.index, time)
+                return
+        self.scheduler.send_at(
+            time,
+            src,
+            dst,
+            self.kind,
+            self.size,
+            on_delivered=self.delivered,
+            on_rejected=None if self.on_rejected is None else self.rejected,
+        )
+
+    def delivered(self, time: float) -> None:
+        if self.on_dead is not None:
+            node = self.scheduler.net.nodes.get(self.hops[self.index][1])
+            if node is None or not node.online:
+                self.on_dead(self.index, time)
+                return
+        self.index += 1
+        self.step(time)
+
+    def rejected(self, time: float) -> None:
+        self.on_rejected(self.index, time)

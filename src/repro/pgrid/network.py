@@ -231,7 +231,6 @@ class PGridNetwork:
         key: str,
         start: PGridPeer | None = None,
         kind: str = "lookup",
-        diffusion: str | None = None,
     ) -> tuple[list[Entry], Trace, PGridPeer]:
         """Like :meth:`lookup`, but the result *stays at the destination peer*.
 
@@ -239,15 +238,14 @@ class PGridNetwork:
         physical operators use this provenance-aware form to model different
         data flows (ship-to-coordinator vs. re-hash to rendezvous peers).
 
-        ``diffusion`` (default: :attr:`replica_diffusion`) spreads the read
-        over the responsible replica group by redirecting the last hop to a
-        chosen member — hop count is unchanged, but a hot destination stops
-        being the only peer that serves its key.
+        :attr:`replica_diffusion` spreads the read over the responsible
+        replica group by redirecting the last hop to a chosen member — hop
+        count is unchanged, but a hot destination stops being the only peer
+        that serves its key.
         """
         start = start or self.random_online_peer()
-        policy = self.replica_diffusion if diffusion is None else diffusion
         with self.clock() as scheduler:
-            if policy == "none":
+            if self.replica_diffusion == "none":
                 destination, trace = route(start, point_key(key), kind=kind, scheduler=scheduler)
                 return destination.store.get(key), trace, destination
             from repro.load.diffusion import diffuse_route  # deferred: load imports pgrid
@@ -260,7 +258,7 @@ class PGridNetwork:
             destination, hops = diffuse_route(
                 destination,
                 hops,
-                policy=policy,
+                policy=self.replica_diffusion,
                 rng=self.rng,
                 load=scheduler.load,
                 now=scheduler.now,

@@ -11,7 +11,9 @@ Covers the scheduler layer end to end:
   of the per-chain hop sums, and an attached scheduler and the implicit
   per-call one agree on messages and results;
 * without an attached scheduler every top-level call runs on its own fresh
-  clock and log.
+  clock and log;
+* ``chain``'s ``on_dead``/``on_rejected`` continuations stop a chain at a
+  dead or shed hop, and ``gather`` completes at the last arrival.
 """
 
 import math
@@ -22,6 +24,7 @@ import pytest
 from repro import UniStore
 from repro.bench import ConferenceWorkload
 from repro.errors import NodeUnreachableError
+from repro.load import LoadModel, ServiceProfile, ThresholdAdmission
 from repro.net import ConstantLatency, EventScheduler, Network, PlanetLabLatency, ZeroLatency
 from repro.net.trace import Trace
 from repro.pgrid import build_network, bulk_load, encode_string
@@ -338,6 +341,81 @@ class TestSingleOps:
             assert trace.completion_time == pytest.approx(trace.latency)  # started at 0
             assert scheduler.pending() == 0
         assert pnet.scheduler is None and pnet._implicit is None
+
+
+class TestChainContinuations:
+    def _three(self, seed=95):
+        pnet = _overlay(seed, latency_model=ConstantLatency(0.01))
+        a, b, c = pnet.peers[:3]
+        return pnet, a.node_id, b.node_id, c.node_id
+
+    def test_peer_failing_while_queued_fires_on_dead_at_delivery(self):
+        pnet, a, b, c = self._three()
+        model = LoadModel(ServiceProfile({"lookup": 0.05}))
+        dead, done = [], []
+        with pnet.event_driven(load=model) as sched:
+            # Arrives at b at 0.01, finishes service at 0.06; b dies in between.
+            sched.sim.schedule_at(0.03, pnet.net.nodes[b].fail)
+            sched.chain(
+                [(a, b), (b, c)],
+                "lookup",
+                on_done=done.append,
+                on_dead=lambda index, t: dead.append((index, t)),
+            )
+            sched.run()
+            assert dead == [(0, pytest.approx(0.06))]
+            assert done == []
+            assert [(d.src, d.dst) for d in sched.log] == [(a, b)]  # no hop from the dead peer
+            assert sched.pending() == 0
+
+    def test_on_rejected_receives_the_shed_hop_index(self):
+        pnet, a, b, c = self._three()
+        model = LoadModel(ServiceProfile({"lookup": 0.001}), admission={c: ThresholdAdmission(1)})
+        model.queue(c).admit(0.0, 5.0)  # c is busy: its depth is at the cap
+        rejected, done = [], []
+        with pnet.event_driven(load=model) as sched:
+            sched.chain(
+                [(a, b), (b, c)],
+                "lookup",
+                on_done=done.append,
+                on_rejected=lambda index, t: rejected.append((index, t)),
+            )
+            sched.run()
+            assert rejected == [(1, pytest.approx(sched.log[-1].time))]
+            assert done == []
+            assert [(d.src, d.dst, d.kind) for d in sched.log] == [
+                (a, b, "lookup"),
+                (b, c, "lookup"),
+                (c, b, "reject"),  # the NACK back to the hop's sender
+            ]
+
+    def test_chain_without_continuations_still_raises_on_a_dead_peer(self):
+        pnet, a, _b, c = self._three()
+        pnet.net.nodes[c].fail()
+        with pnet.event_driven() as sched:
+            with pytest.raises(NodeUnreachableError):
+                sched.chain([(a, c)], "lookup")
+
+    def test_gather_completes_at_the_last_arrival(self):
+        pnet = _overlay(96, latency_model=ZeroLatency())
+        a, b, c = (peer.node_id for peer in pnet.peers[:3])
+        pnet.net.set_link_latency(a, b, 0.02)
+        pnet.net.set_link_latency(a, c, 0.07)
+        done = []
+        with pnet.event_driven() as sched:
+            sched.gather(0.0, [(a, b, "push", 1), (a, c, "push", 1)], done.append)
+            assert done == []
+            sched.run()
+            assert done == [pytest.approx(0.07)]
+            assert len(sched.log) == 2
+
+    def test_gather_without_sends_completes_inline(self):
+        pnet = _overlay(97)
+        done = []
+        with pnet.event_driven() as sched:
+            sched.gather(1.5, [], done.append)
+            assert done == [1.5]
+            assert sched.pending() == 0 and sched.log == []
 
 
 class TestTraceCompletionTime:

@@ -7,10 +7,14 @@
   replica group (lower peak busy time, same answers);
 * a peer failing mid-queue has its in-flight work re-routed: every issued
   operation ends completed or failed, the heap drains, and the outcome is
-  deterministic (the churn regression of this PR).
+  deterministic (the churn regression of this PR);
+* the delivery log and every ``OpRecord`` of eight small driver runs are
+  pinned by sha256 digest.
 """
 
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.load import (
     LoadModel,
     OpenLoopDriver,
     ServiceProfile,
+    ThresholdAdmission,
     choose_replica,
     completed_latencies,
     summarize,
@@ -128,6 +133,23 @@ class TestOpenLoopDriver:
             assert stored, record.index
             # Replication: every online member of the group got the push.
             assert len(stored) == len([p for p in group if p.online])
+
+
+class TestDriverConfig:
+    @pytest.mark.parametrize("insert_fraction", [0.0, 1.0])
+    def test_unknown_diffusion_policy_is_rejected_up_front(self, insert_fraction):
+        pnet = _overlay()
+        with pytest.raises(ValueError, match="unknown diffusion policy 'least_busy'"):
+            OpenLoopDriver(
+                pnet,
+                KEYS,
+                rate=50,
+                horizon=0.2,
+                insert_fraction=insert_fraction,
+                diffusion="least_busy",
+            )
+        with pytest.raises(ValueError, match="unknown diffusion policy"):
+            ClosedLoopDriver(pnet, KEYS, diffusion="oracle")
 
 
 class TestClosedLoopDriver:
@@ -256,16 +278,19 @@ class TestChurnUnderLoad:
     def test_partial_route_accounting_survives_dead_hops(self):
         """A failed route's partial-hop replay must stop at a dead hop, not
         raise NodeUnreachableError inside the simulator (driver-crash bug)."""
-        from repro.load.drivers import _OpEngine
-
         pnet = _overlay(seed=31, replication=3)
         with pnet.event_driven() as sched:
-            engine = _OpEngine(pnet, random.Random(0))
             a, b, c = pnet.peers[0], pnet.peers[1], pnet.peers[2]
             c.fail()  # the chain's second hop destination is already dead
-            engine._account_partial([(a.node_id, b.node_id), (b.node_id, c.node_id)], sched.now)
+            stopped = []
+            sched.chain(
+                [(a.node_id, b.node_id), (b.node_id, c.node_id)],
+                "lookup",
+                on_dead=lambda index, _t: stopped.append(index),
+            )
             sched.run()  # must not raise
             assert [(d.src, d.dst) for d in sched.log] == [(a.node_id, b.node_id)]
+            assert stopped == [1]
             assert sched.pending() == 0
 
     def test_mid_queue_failure_redirects_queued_work(self):
@@ -319,3 +344,88 @@ class TestChurnUnderLoad:
         assert pending == 0, "no scheduler deadlock"
         assert outcome and all(completed is not None for *_rest, completed in outcome)
         assert any(ok for _i, _k, ok, _r, _c in outcome)
+
+
+#: Driver runs pinned by digest: ``(loop, shed depth, hints, gateways, churn,
+#: driver kwargs)``.  Together they exercise reroutes, reject retries on
+#: transit and final hops, "no route" dead ends and "initiator offline".
+FINGERPRINT_RUNS = {
+    "open-none": (
+        "open", None, False, 0, False,
+        dict(rate=150, horizon=0.5, key_skew=0.9, insert_fraction=0.2, seed=5),
+    ),
+    "open-least-busy": (
+        "open", None, False, 0, False,
+        dict(rate=400, horizon=0.4, key_skew=1.1, insert_fraction=0.1, diffusion="least-busy",
+             seed=6),
+    ),
+    "open-oracle-shed-hints": (
+        "open", 3, True, 0, False,
+        dict(rate=1200, horizon=0.3, key_skew=1.2, insert_fraction=0.1,
+             diffusion="least-busy-oracle", seed=7),
+    ),
+    "open-busy-shed-hints": (
+        "open", 2, True, 2, False,
+        dict(rate=1500, horizon=0.3, key_skew=1.2, insert_fraction=0.2, diffusion="least-busy",
+             seed=8),
+    ),
+    "open-churn": (
+        "open", None, False, 0, True,
+        dict(rate=150, horizon=1.5, key_skew=0.8, insert_fraction=0.2, seed=23),
+    ),
+    "closed-none": (
+        "closed", None, False, 0, False,
+        dict(clients=6, ops_per_client=12, think_time=0.002, insert_fraction=0.2, seed=3),
+    ),
+    "closed-oracle-shed-hints": (
+        "closed", 2, True, 1, False,
+        dict(clients=24, ops_per_client=8, key_skew=1.2, diffusion="least-busy-oracle", seed=9),
+    ),
+    "closed-least-busy-churn": (
+        "closed", None, False, 0, True,
+        dict(clients=8, ops_per_client=25, think_time=0.01, insert_fraction=0.2,
+             diffusion="least-busy", seed=4),
+    ),
+}  # fmt: skip
+
+DRIVER_DIGESTS = {
+    "open-none": "d43f233aca3736e4c1cffa99cb2615dea16c29ea981b8f51d0e38122fd63eb14",
+    "open-least-busy": "f1205d70e86ffeb653b852fd5e5139d412c8bba45f3e480b2c470c2e8f0c5e0a",
+    "open-oracle-shed-hints": "e7ac7e92318b08d229b540ec52e1ebefa98573e931792af978bd6e55f6542ed7",
+    "open-busy-shed-hints": "d7621ca41ed0174968490ff8e87216fd750facc41f642581e3087e6537f99509",
+    "open-churn": "69655a5536b74e673586b31006e683159a5b28dd9e7e7e453f13e6bc460a4042",
+    "closed-none": "a8db7d52d2b73766d29c14a9b5224dedead321c518241214ca04d14efa9d23d4",
+    "closed-oracle-shed-hints": "698750acc55fe9a91312bacaa90a80fd0fe4d62230e602c0e366e1269922a840",
+    "closed-least-busy-churn": "763575e2261faca40c94cf1640cdb35227fbe0661b8aff36f9e23daf5f84bc43",
+}
+
+
+class TestDriverFingerprints:
+    """Byte-identity of driver runs: sha256 over the delivery log and every
+    ``OpRecord`` field.  A change to hop walking, retry order or RNG draw
+    order moves a digest."""
+
+    @pytest.mark.parametrize("name", sorted(FINGERPRINT_RUNS))
+    def test_run_matches_pinned_digest(self, name):
+        loop, shed, hints, gateways, churn, kwargs = FINGERPRINT_RUNS[name]
+        pnet = _overlay()
+        model = LoadModel(
+            ServiceProfile(PROFILE), admission=ThresholdAdmission(shed) if shed else None
+        )
+        if gateways:
+            kwargs = dict(kwargs, gateways=pnet.peers[:gateways])
+        trace = None
+        if churn:
+            trace = generate_session_trace(
+                [p.node_id for p in pnet.peers],
+                horizon=1.5,
+                mean_session=0.6,
+                mean_downtime=0.4,
+                rng=random.Random(42),
+            )
+        driver_class = OpenLoopDriver if loop == "open" else ClosedLoopDriver
+        with pnet.event_driven(load=model, hints=hints) as sched:
+            records = driver_class(pnet, KEYS, **kwargs).run(churn_trace=trace)
+            assert sched.pending() == 0
+        payload = repr(([astuple(d) for d in sched.log], [astuple(r) for r in records]))
+        assert hashlib.sha256(payload.encode()).hexdigest() == DRIVER_DIGESTS[name]
