@@ -43,6 +43,7 @@ from repro.algebra.semantics import (
     match_pattern,
     merge_bindings,
     order_sort_key,
+    pattern_matcher,
     skyline_of,
     skyline_values,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "SubstringConstraint",
     "EdistConstraint",
     "match_pattern",
+    "pattern_matcher",
     "merge_bindings",
     "compatible",
     "join_key",

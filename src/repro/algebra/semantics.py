@@ -9,7 +9,8 @@ executors cannot drift apart (tests assert they agree).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from functools import lru_cache
+from typing import Any, Callable, Iterable
 
 from repro.triples.triple import Triple
 from repro.vql.ast import Literal, OrderItem, SkylineItem, TriplePattern, Var
@@ -40,6 +41,43 @@ def match_pattern(pattern: TriplePattern, triple: Triple) -> Binding | None:
 
 
 _UNSET = object()
+
+_POSITIONS = ("oid", "attribute", "value")
+
+
+@lru_cache(maxsize=1024)
+def pattern_matcher(pattern: TriplePattern) -> Callable[[Triple], Binding | None]:
+    """Compile ``pattern`` into a function equivalent to ``match_pattern(pattern, ·)``.
+
+    The per-term analysis runs once here instead of once per triple: the
+    generated function tests each literal position, each repeated variable
+    against its first occurrence, and then builds the binding in one dict
+    display.  Matchers are cached per pattern, so a query's operators compile
+    each pattern once and apply the matcher to every posting they read.  The
+    reference executor keeps :func:`match_pattern`, so the oracle stays
+    independent of this code.
+    """
+    lines = ["def match(triple):"]
+    namespace: dict[str, Any] = {}
+    first: dict[str, str] = {}  # variable name -> position of its first occurrence
+    terms = (pattern.subject, pattern.predicate, pattern.object)
+    for index, (position, term) in enumerate(zip(_POSITIONS, terms)):
+        if isinstance(term, Var):
+            if term.name in first:
+                lines.append(f"    if triple.{position} != triple.{first[term.name]}: return None")
+            else:
+                first[term.name] = position
+        elif isinstance(term, Literal):
+            namespace[f"literal{index}"] = term.value
+            lines.append(f"    if triple.{position} != literal{index}: return None")
+        else:  # pragma: no cover - parser only produces Var/Literal
+            raise TypeError(f"unexpected term {term!r}")
+    # Query text reaches the source only as repr() of variable names; literal
+    # values are passed in through the namespace.
+    items = ", ".join(f"{name!r}: triple.{position}" for name, position in first.items())
+    lines.append(f"    return {{{items}}}")
+    exec("\n".join(lines), namespace)
+    return namespace["match"]
 
 
 def compatible(a: Binding, b: Binding) -> bool:

@@ -32,15 +32,11 @@ from repro.errors import ExecutionError
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
 from repro.algebra.operators import PatternScan
-from repro.algebra.semantics import (
-    Binding,
-    join_key,
-    merge_bindings,
-)
+from repro.algebra.semantics import Binding, compatible, join_key, merge_bindings, pattern_matcher
 from repro.mqp.plan import MutantQueryPlan
 from repro.optimizer.adaptive import Step, choose_next_step
 from repro.optimizer.cost_model import CostModel
-from repro.physical.base import ExecutionContext, match_postings
+from repro.physical.base import ExecutionContext, join_probed, match_postings
 from repro.triples.index import IndexKind, av_key, oid_key, v_key
 from repro.vql.ast import Expression, expression_variables
 
@@ -136,18 +132,14 @@ def _probe(ctx: ExecutionContext, plan: MutantQueryPlan, step: Step) -> Trace:
         [key for key, _kind in key_for_value.values()], start=holder, kind="mqp-probe"
     )
 
-    matches_by_value: dict[object, list[Binding]] = {}
-    for value, (key, kind) in key_for_value.items():
-        matches_by_value[value] = match_postings(
-            entries_by_key.get(key, []), pattern, kind, variable, value, step.scan.filters
+    match = pattern_matcher(pattern)
+    matches_by_value = {
+        value: match_postings(
+            entries_by_key.get(key, []), match, kind, variable, value, step.scan.filters
         )
-
-    joined: list[Binding] = []
-    for row in plan.bindings:
-        for match in matches_by_value.get(row.get(variable), ()):
-            if all(match.get(k, v) == v for k, v in row.items() if k in match):
-                joined.append(merge_bindings(row, match))
-    plan.bindings = joined
+        for value, (key, kind) in key_for_value.items()
+    }
+    plan.bindings = join_probed(plan.bindings, matches_by_value, variable, pattern)
     return trace
 
 
@@ -220,6 +212,6 @@ def _local_join(
     joined: list[Binding] = []
     for row in right_rows:
         for match in table.get(join_key(row, shared), ()):
-            if all(row.get(k, v) == v for k, v in match.items() if k in row):
+            if compatible(match, row):
                 joined.append(merge_bindings(match, row))
     return joined

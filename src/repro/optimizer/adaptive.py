@@ -10,6 +10,14 @@ only has estimates).  :func:`choose_next_step` re-runs the cost model with
 that ground truth to pick which pending pattern to evaluate next and how:
 probe it with per-value index lookups, or scan it and migrate the plan into
 the data's region.
+
+The choice is *connected first*: once rows are bound, only the pending
+patterns that share a bound variable are costed.  A pattern sharing none
+would multiply every row with its whole result (a Cartesian product the
+next step must then probe row by row), so it is scanned only when nothing
+pending connects to the rows.  The executor then evaluates the chosen
+pattern with a compiled :func:`~repro.algebra.semantics.pattern_matcher`,
+built once per pattern rather than unified term by term for every posting.
 """
 
 from __future__ import annotations
@@ -38,13 +46,14 @@ def choose_next_step(
     model: CostModel,
 ) -> Step:
     """Pick the cheapest next evaluation step given the *actual* state."""
-    bound_variables: set[str] = set()
-    if bindings:
-        for row in bindings:
-            bound_variables |= set(row)
+    bound_variables: set[str] = set().union(*bindings) if bindings else set()
+    # Connected first: once rows are bound, a pattern sharing none of their
+    # variables would multiply them into a Cartesian product, so it is only
+    # a candidate when nothing pending connects to the rows.
+    connected = [scan for scan in pending if scan.pattern.variables() & bound_variables]
 
     best: Step | None = None
-    for scan in pending:
+    for scan in connected or pending:
         step = _cost_step(scan, bindings, bound_variables, model)
         if best is None or step.estimated_cost < best.estimated_cost:
             best = step

@@ -18,14 +18,16 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
-from repro.algebra.semantics import Binding, match_pattern
+from repro.algebra.semantics import Binding, merge_bindings
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 from repro.triples.index import IndexKind
 from repro.triples.store import DistributedTripleStore, Posting
+from repro.triples.triple import Triple
 from repro.vql.ast import TriplePattern
 
 
@@ -86,7 +88,7 @@ class OpResult:
 
 def match_postings(
     entries,
-    pattern: TriplePattern,
+    match: Callable[[Triple], Binding | None],
     kind: IndexKind,
     variable: str,
     value,
@@ -94,14 +96,16 @@ def match_postings(
 ) -> list[Binding]:
     """Bindings produced by the index postings under one probe key.
 
-    Deduplicates postings, unifies them against ``pattern``, keeps only
+    Deduplicates postings, unifies them with ``match`` (the probed
+    pattern's :func:`~repro.algebra.semantics.pattern_matcher`), keeps only
     matches whose ``variable`` equals the probed ``value`` and that pass the
     ``filters``.  OID probes compare against ``str(value)`` (OIDs are
     strings) but keep the caller's original join value in the binding, so a
     non-string join value still unifies with the row that produced it.
 
-    Shared by the index-nested-loop join and the MQP probe step — the two
-    per-value probe paths — so their matching semantics cannot drift.
+    Shared, with :func:`join_probed`, by the index-nested-loop join and the
+    MQP probe step — the two per-value probe paths — so their matching
+    semantics cannot drift.
     """
     matches: list[Binding] = []
     seen: set = set()
@@ -113,7 +117,7 @@ def match_postings(
         if identity in seen:
             continue
         seen.add(identity)
-        binding = match_pattern(pattern, posting.triple)
+        binding = match(posting.triple)
         if binding is None:
             continue
         if kind is IndexKind.OID:
@@ -125,6 +129,25 @@ def match_postings(
         if all(satisfies(f, binding) for f in filters):
             matches.append(binding)
     return matches
+
+
+def join_probed(
+    rows: list[Binding], matches: dict[object, list[Binding]], variable: str, pattern: TriplePattern
+) -> list[Binding]:
+    """Extend each row with the :func:`match_postings` result of its
+    ``variable`` value.
+
+    A match already equals its row on ``variable``, so consistency is checked
+    only on the pattern's other variables that the rows bind, and that set is
+    computed once per probe instead of per row pair.
+    """
+    checked = sorted((pattern.variables() - {variable}) & set().union(*rows))
+    return [
+        merge_bindings(row, binding)
+        for row in rows
+        for binding in matches.get(row.get(variable), ())
+        if not checked or all(row.get(name, binding[name]) == binding[name] for name in checked)
+    ]
 
 
 class PhysicalOperator(ABC):

@@ -32,13 +32,16 @@ from repro.errors import PlanningError, RoutingError
 from repro.net.trace import Trace
 from repro.algebra.semantics import (
     Binding,
+    compatible,
     join_key,
     merge_bindings,
+    pattern_matcher,
 )
 from repro.physical.base import (
     ExecutionContext,
     OpResult,
     PhysicalOperator,
+    join_probed,
     match_postings,
 )
 from repro.pgrid.routing import point_key, route_hops
@@ -111,9 +114,10 @@ class IndexNestedLoopJoin(_JoinBase):
             # probe (and no need to).
             return OpResult([], left_result.trace, left_result.complete)
         pattern = self.right_pattern
-        position, shared_name = self._lookup_position(pattern, left_rows)
+        left_vars = set().union(*left_rows)
+        position, shared_name = self._lookup_position(pattern, left_vars)
+        match = pattern_matcher(pattern)
 
-        joined: list[Binding] = []
         cache: dict[object, list[Binding]] = {}
         key_for_value: dict[object, tuple[str, IndexKind]] = {}
         for value in {row.get(shared_name) for row in left_rows if shared_name in row}:
@@ -135,16 +139,13 @@ class IndexNestedLoopJoin(_JoinBase):
         for value, (key, kind) in key_for_value.items():
             cache[value] = match_postings(
                 entries_by_key.get(key, []),
-                pattern,
+                match,
                 kind,
                 shared_name,
                 value,
                 self.right_filters,
             )
-        for row in left_rows:
-            for match in cache.get(row.get(shared_name), ()):
-                if _consistent(row, match):
-                    joined.append(merge_bindings(row, match))
+        joined = join_probed(left_rows, cache, shared_name, pattern)
         trace = left_result.trace.then(probe_trace)
         return OpResult(
             groups=[(ctx.coordinator.node_id, joined)] if joined else [],
@@ -152,9 +153,8 @@ class IndexNestedLoopJoin(_JoinBase):
             complete=left_result.complete,
         )
 
-    def _lookup_position(self, pattern: TriplePattern, left_rows: list[Binding]) -> tuple[str, str]:
+    def _lookup_position(self, pattern: TriplePattern, left_vars: set[str]) -> tuple[str, str]:
         """Which position of the right pattern the shared variable sits in."""
-        left_vars = set().union(*(set(b) for b in left_rows)) if left_rows else set()
         if isinstance(pattern.subject, Var) and pattern.subject.name in left_vars:
             return "subject", pattern.subject.name
         if isinstance(pattern.object, Var) and pattern.object.name in left_vars:
@@ -291,10 +291,6 @@ def _rendezvous_value(value_key: tuple) -> str:
     return "\x03".join(repr(v) for v in value_key)
 
 
-def _consistent(a: Binding, b: Binding) -> bool:
-    return all(b.get(name, value) == value for name, value in a.items() if name in b)
-
-
 def _hash_join(
     left_rows: list[Binding], right_rows: list[Binding], shared: list[str]
 ) -> list[Binding]:
@@ -308,6 +304,6 @@ def _hash_join(
     result: list[Binding] = []
     for row in right_rows:
         for match in table.get(join_key(row, shared), ()):
-            if _consistent(match, row):
+            if compatible(match, row):
                 result.append(merge_bindings(match, row))
     return result

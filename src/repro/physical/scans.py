@@ -24,11 +24,12 @@ their residual ``filters`` where the data lives, before anything is shipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import PlanningError
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
-from repro.algebra.semantics import Binding, match_pattern
+from repro.algebra.semantics import Binding, pattern_matcher
 from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
 from repro.pgrid.keys import KeyRange
 from repro.pgrid.range_query import (
@@ -62,6 +63,7 @@ class _ScanBase(PhysicalOperator):
 
     def _bindings(self, entries, kind: IndexKind) -> list[Binding]:
         """Convert index postings to filtered bindings (dedup across replicas)."""
+        match = pattern_matcher(self.pattern)
         seen: set[tuple[str, str, Value]] = set()
         bindings: list[Binding] = []
         for entry in entries:
@@ -72,7 +74,7 @@ class _ScanBase(PhysicalOperator):
             if identity in seen:
                 continue
             seen.add(identity)
-            binding = match_pattern(self.pattern, posting.triple)
+            binding = match(posting.triple)
             if binding is None:
                 continue
             if all(satisfies(f, binding) for f in self.filters):
@@ -80,9 +82,10 @@ class _ScanBase(PhysicalOperator):
         return bindings
 
     def _bindings_from_triples(self, triples: list[Triple]) -> list[Binding]:
+        match = pattern_matcher(self.pattern)
         bindings: list[Binding] = []
         for triple in triples:
-            binding = match_pattern(self.pattern, triple)
+            binding = match(triple)
             if binding is None:
                 continue
             if all(satisfies(f, binding) for f in self.filters):
@@ -352,6 +355,10 @@ class QGramScan(_ScanBase):
         )
 
 
+#: One star pattern's evaluation plan: attribute key, matcher, shared variables.
+_StarStep = tuple[Value | None, Callable[[Triple], Binding | None], tuple[str, ...]]
+
+
 @dataclass
 class OidClusterScan(PhysicalOperator):
     """Star-pattern scan over the OID index.
@@ -382,41 +389,68 @@ class OidClusterScan(PhysicalOperator):
         groups, trace, complete = range_query_shower_groups(
             ctx.pnet, key_range, start=ctx.coordinator, rng=ctx.rng
         )
+        # With every predicate a literal, a triple can only match the patterns
+        # naming its attribute: others are dropped before the dedup, and each
+        # pattern sees only its own attribute's triples.  A variable predicate
+        # files every triple of a tuple under the single attribute key None.
+        predicates = [pattern.predicate for pattern in self.patterns]
+        by_attribute = all(isinstance(term, Literal) for term in predicates)
+        wanted = {term.value for term in predicates} if by_attribute else None
+        steps = self._star_steps(by_attribute)
         result_groups: list[tuple[str, list[Binding]]] = []
         for peer_id, entries in groups:
-            by_oid: dict[str, list[Triple]] = {}
+            by_oid: dict[str, dict[Value | None, list[Triple]]] = {}
             seen: set[tuple[str, str, Value]] = set()
             for entry in entries:
                 posting = entry.value
                 if not isinstance(posting, Posting) or posting.kind is not IndexKind.OID:
                     continue
-                identity = posting.triple.as_tuple()
+                triple = posting.triple
+                if by_attribute and triple.attribute not in wanted:
+                    continue
+                identity = triple.as_tuple()
                 if identity in seen:
                     continue
                 seen.add(identity)
-                by_oid.setdefault(posting.triple.oid, []).append(posting.triple)
+                attribute = triple.attribute if by_attribute else None
+                by_oid.setdefault(triple.oid, {}).setdefault(attribute, []).append(triple)
             bindings: list[Binding] = []
-            for _oid, triples in by_oid.items():
-                bindings.extend(self._evaluate_star(triples))
+            for triples in by_oid.values():
+                bindings.extend(self._evaluate_star(triples, steps))
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
 
-    def _evaluate_star(self, triples: list[Triple]) -> list[Binding]:
-        """Local BGP evaluation over one tuple's triples."""
-        partial: list[Binding] = [{}]
+    def _star_steps(self, by_attribute: bool) -> list[_StarStep]:
+        """Per pattern: its attribute key, compiled matcher, and the variables
+        it shares with the earlier patterns.  The subject variable is left
+        out: every triple of one tuple carries the same OID."""
+        steps = []
+        bound: set[str] = set()
         for pattern in self.patterns:
-            matches = [b for t in triples if (b := match_pattern(pattern, t)) is not None]
+            variables = pattern.variables()
+            shared = tuple(sorted((variables & bound) - {self.subject_variable}))
+            predicate = pattern.predicate
+            attribute = predicate.value if by_attribute and isinstance(predicate, Literal) else None
+            steps.append((attribute, pattern_matcher(pattern), shared))
+            bound |= variables
+        return steps
+
+    def _evaluate_star(
+        self, triples: dict[Value | None, list[Triple]], steps: list[_StarStep]
+    ) -> list[Binding]:
+        """Local BGP evaluation over one tuple's triples, keyed by attribute."""
+        partial: list[Binding] = [{}]
+        for attribute, match, shared in steps:
+            matches = [b for t in triples.get(attribute, ()) if (b := match(t)) is not None]
             if not matches:
                 return []
-            merged: list[Binding] = []
-            for base in partial:
-                for match in matches:
-                    if all(base.get(k, v) == v for k, v in match.items() if k in base):
-                        combined = dict(base)
-                        combined.update(match)
-                        merged.append(combined)
-            partial = merged
+            partial = [
+                {**base, **binding}
+                for base in partial
+                for binding in matches
+                if not shared or all(base[name] == binding[name] for name in shared)
+            ]
             if not partial:
                 return []
         return [b for b in partial if all(satisfies(f, b) for f in self.filters)]

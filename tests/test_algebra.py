@@ -25,7 +25,7 @@ from repro.algebra import (
     split_conjunctions,
 )
 from repro.algebra.operators import Difference, Intersection, Limit, Projection, Union
-from repro.algebra.semantics import dominates, match_pattern, order_sort_key
+from repro.algebra.semantics import dominates, match_pattern, order_sort_key, pattern_matcher
 from repro.errors import PlanningError
 from repro.triples import Triple
 from repro.vql import parse
@@ -140,6 +140,40 @@ class TestPatternMatching:
         pattern = TriplePattern(Var("x"), Literal("self"), Var("x"))
         assert match_pattern(pattern, Triple("a", "self", "a")) == {"x": "a"}
         assert match_pattern(pattern, Triple("a", "self", "b")) is None
+
+
+# Few names and values, so repeated variables and literal hits are common;
+# 1, 1.0 and '1' probe the cross-type equality rules.
+_TEXTS = st.sampled_from(["a", "b", "1"])
+_VALUES = st.one_of(_TEXTS, st.sampled_from([1, 1.0, 2, 2.5]))
+_TERMS = st.one_of(st.sampled_from(["x", "y"]).map(Var), _VALUES.map(Literal))
+
+
+class TestCompiledMatcher:
+    """``pattern_matcher(p)`` is a drop-in for ``match_pattern(p, ·)``."""
+
+    @given(_TERMS, _TERMS, _TERMS, _TEXTS, _TEXTS, _VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_match_pattern(self, subject, predicate, object_, oid, attribute, value):
+        pattern = TriplePattern(subject, predicate, object_)
+        triple = Triple(oid, attribute, value)
+        got = pattern_matcher(pattern)(triple)
+        expected = match_pattern(pattern, triple)
+        assert got == expected
+        if got is not None:  # same binding values, types and key order
+            assert list(got.items()) == list(expected.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+
+    def test_all_positions_one_variable(self):
+        match = pattern_matcher(TriplePattern(Var("x"), Var("x"), Var("x")))
+        assert match(Triple("a", "a", "a")) == {"x": "a"}
+        assert match(Triple("a", "a", "b")) is None
+        assert match(Triple("1", "1", 1)) is None  # '1' != 1
+
+    def test_numeric_literal_matches_equal_number(self):
+        match = pattern_matcher(TriplePattern(Var("s"), Literal("age"), Literal(1)))
+        assert match(Triple("p", "age", 1.0)) == {"s": "p"}
+        assert match(Triple("p", "age", "1")) is None
 
 
 class TestPlanBuilder:

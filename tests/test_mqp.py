@@ -107,6 +107,41 @@ class TestAdaptiveChoice:
         many = choose_next_step(scans, [{"a": f"p{i}"} for i in range(50)], model)
         assert few.estimated_cost < many.estimated_cost
 
+    def test_connected_pattern_beats_cartesian_scan(self, env):
+        """90 bound publications: the name scan shares no variable with the
+        rows and would build a 90 x |authors| product, so the probe on ?p
+        is taken even where the cost model prices the scan lower."""
+        _ctx, _triples, model = env
+        name, title, published = (
+            PatternScan(TriplePattern(Var("a"), Literal("name"), Var("name"))),
+            PatternScan(TriplePattern(Var("p"), Literal("title"), Var("title"))),
+            PatternScan(TriplePattern(Var("a"), Literal("has_published"), Var("title"))),
+        )
+        rows = [{"p": f"pub:{i:06d}"} for i in range(90)]
+        step = choose_next_step([name, title, published], rows, model)
+        assert step.scan is title
+        assert (step.method, step.shared_variable) == ("probe-oid", "p")
+
+    def test_disconnected_group_still_scans(self, env):
+        _ctx, _triples, model = env
+        name = PatternScan(TriplePattern(Var("a"), Literal("name"), Var("n")))
+        step = choose_next_step([name], [{"p": "pub:000001"}], model)
+        assert (step.scan, step.method) == (name, "scan")
+
+
+@pytest.fixture(scope="module")
+def hot_env():
+    """A conference with ~85 publications: enough that the cost model alone
+    prices scanning the unconnected name pattern below probing ?p."""
+    pnet = build_network(64, replication=2, seed=88, split_by="population")
+    store = DistributedTripleStore(pnet, enable_qgram_index=True)
+    workload = ConferenceWorkload(num_authors=100, num_publications=300, num_conferences=8, seed=88)
+    triples = workload.all_triples()
+    store.bulk_insert(triples)
+    ctx = ExecutionContext(store, pnet.peers[0], random.Random(88))
+    stats = CatalogStatistics.from_store(store)
+    return ctx, triples, CostModel(stats)
+
 
 class TestMQPExecution:
     def _run(self, env, vql):
@@ -142,6 +177,42 @@ class TestMQPExecution:
             "(?p,'published_in',?c)}",
         )
         assert _canonical(result.bindings) == _canonical(expected)
+
+    def test_disconnected_query_returns_cross_product(self, env):
+        result, expected = self._run(env, "SELECT * WHERE {(?a,'name',?n) (?p,'title',?t)}")
+        assert len(expected) > 1
+        assert _canonical(result.bindings) == _canonical(expected)
+
+    def test_hot_conference_join_never_scans_unconnected(self, hot_env, monkeypatch):
+        from repro.mqp import executor
+
+        ctx, triples, model = hot_env
+        counts: dict[str, int] = {}
+        for t in triples:
+            if t.attribute == "published_in":
+                counts[t.value] = counts.get(t.value, 0) + 1
+        hottest = max(counts, key=lambda conf: (counts[conf], conf))
+        assert counts[hottest] >= 80
+        decisions = []
+
+        def spy(pending, bindings, cost_model):
+            step = choose_next_step(pending, bindings, cost_model)
+            bound = set().union(*bindings) if bindings else set()
+            decisions.append((step, bound))
+            return step
+
+        monkeypatch.setattr(executor, "choose_next_step", spy)
+        result, expected = self._run(
+            hot_env,
+            "SELECT ?name,?title WHERE {(?a,'name',?name) (?a,'has_published',?title) "
+            f"(?p,'title',?title) (?p,'published_in','{hottest}')}}",
+        )
+        assert len(decisions) == 4
+        for step, bound in decisions[1:]:
+            assert step.scan.pattern.variables() & bound, step
+        names = {"name", "title"}
+        got = [{k: v for k, v in row.items() if k in names} for row in result.bindings]
+        assert _canonical(got) == _canonical(expected)
 
     def test_steps_are_logged(self, env):
         result, _expected = self._run(env, "SELECT * WHERE {(?a,'name',?n) (?a,'age',?g)}")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.algebra import build_plan, execute_reference
 from repro.bench import ConferenceWorkload
 from repro.errors import PlanningError
 from repro.physical import (
@@ -40,6 +41,12 @@ def env():
         Triple("a-p1", "likes", "tea"), Triple("a-p1", "likes", "coffee"),
     ]
     # fmt: on
+    store = _store(triples)
+    ctx = ExecutionContext(store, store.pnet.peers[0], random.Random(31))
+    return store, ctx
+
+
+def _store(triples):
     # Shape the trie by the actual posting keys (P-Grid's balanced steady
     # state) so the tiny dataset still spans several leaves.
     from repro.triples import av_key, oid_key, v_key
@@ -50,8 +57,11 @@ def env():
     pnet = build_network(24, data_keys=keys, replication=1, seed=31, split_by="data")
     store = DistributedTripleStore(pnet)
     store.bulk_insert(triples)
-    ctx = ExecutionContext(store, pnet.peers[0], random.Random(31))
-    return store, ctx
+    return store
+
+
+def _canonical(rows):
+    return sorted(repr(sorted(row.items())) for row in rows)
 
 
 def _names(result):
@@ -201,6 +211,67 @@ class TestOidClusterScan:
         _store, ctx = env
         with pytest.raises(PlanningError):
             OidClusterScan(patterns=(), subject_variable="a").execute(ctx)
+
+
+class TestOidClusterScanOrder:
+    """Stars beyond the literal-predicate fast path, checked against the
+    reference rows and pinned to the row order of the plain per-OID
+    evaluation (every pattern matched against every triple of the tuple)."""
+
+    # fmt: off
+    TRIPLES = [
+        Triple("a-p1", "name", "Alice"), Triple("a-p1", "likes", "tea"),
+        Triple("a-p1", "likes", "coffee"), Triple("a-p1", "drinks", "tea"),
+        Triple("m-p2", "name", "Bob"), Triple("m-p2", "nick", "nick"),
+        Triple("m-p2", "likes", "tea"),
+        Triple("z-p3", "name", "Cara"), Triple("z-p3", "age", 40),
+    ]
+    # fmt: on
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return _store(self.TRIPLES)
+
+    def _rows(self, store, where):
+        query = parse(f"SELECT * WHERE {{{where}}}")
+        star = OidClusterScan(patterns=query.groups[0].patterns, subject_variable="a")
+        ctx = ExecutionContext(store, store.pnet.peers[0], random.Random(5))
+        rows = star.execute(ctx).all_bindings()
+        reference = execute_reference(build_plan(query), self.TRIPLES)
+        assert _canonical(rows) == _canonical(reference)
+        return [tuple(row.items()) for row in rows]
+
+    def test_variable_predicate(self, store):
+        assert self._rows(store, "(?a,'name',?n) (?a,?k,'tea')") == [
+            (("a", "m-p2"), ("n", "Bob"), ("k", "likes")),
+            (("a", "a-p1"), ("n", "Alice"), ("k", "likes")),
+            (("a", "a-p1"), ("n", "Alice"), ("k", "drinks")),
+        ]
+
+    def test_variable_shared_across_patterns(self, store):
+        assert self._rows(store, "(?a,'likes',?x) (?a,?k,?x)") == [
+            (("a", "m-p2"), ("x", "tea"), ("k", "likes")),
+            (("a", "a-p1"), ("x", "tea"), ("k", "likes")),
+            (("a", "a-p1"), ("x", "tea"), ("k", "drinks")),
+            (("a", "a-p1"), ("x", "coffee"), ("k", "likes")),
+        ]
+
+    def test_repeated_variable_in_one_pattern(self, store):
+        assert self._rows(store, "(?a,?k,?k) (?a,'name',?n)") == [
+            (("a", "m-p2"), ("k", "nick"), ("n", "Bob")),
+        ]
+
+    def test_literal_predicates_with_products(self, store):
+        assert self._rows(store, "(?a,'likes',?l) (?a,'name',?n) (?a,'likes',?m)") == [
+            (("a", "m-p2"), ("l", "tea"), ("n", "Bob"), ("m", "tea")),
+            (("a", "a-p1"), ("l", "tea"), ("n", "Alice"), ("m", "tea")),
+            (("a", "a-p1"), ("l", "tea"), ("n", "Alice"), ("m", "coffee")),
+            (("a", "a-p1"), ("l", "coffee"), ("n", "Alice"), ("m", "tea")),
+            (("a", "a-p1"), ("l", "coffee"), ("n", "Alice"), ("m", "coffee")),
+        ]
+
+    def test_attribute_no_tuple_has(self, store):
+        assert self._rows(store, "(?a,'name',?n) (?a,'missing',?m)") == []
 
 
 class TestPlannerStarIntegration:
