@@ -4,12 +4,13 @@ demo script: "execute identical queries sequentially while influencing the
 integrated optimizer ... which will result in different performance results"
 (§4).
 
-One equi-join query is executed under all three physical join strategies
-while the *selectivity of the left side* sweeps from one row to the whole
-attribute.  Messages and simulated latency per strategy expose the
-crossovers; the last column shows what the cost-based optimizer picks when
-left alone, and the assertion checks it is never far from the best measured
-strategy.
+One equi-join query — a star over the author OID — is executed under all
+four physical strategies (the one-pass OID-index star scan and the three
+joins) while the *selectivity of the left side* sweeps from one row to the
+whole attribute.  Traffic (messages plus payload units), messages and simulated
+latency per strategy expose the crossovers; the last column shows what the
+cost-based optimizer picks when left alone, and the assertion checks it is
+never far from the best measured strategy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.optimizer import PlannerConfig
 
 from conftest import emit
 
-STRATEGIES = ("ship", "index-nl", "rehash")
+STRATEGIES = ("oid-cluster", "ship", "index-nl", "rehash")
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +49,9 @@ def _join_query(age_low: int) -> str:
 def test_e4_join_strategy_crossover(benchmark, store):
     table = ResultTable(
         "E4: join strategies vs left-side selectivity (128 peers)",
-        ["left rows", "strategy", "traffic", "latency s", "optimizer picks"],
+        ["left rows", "strategy", "traffic", "messages", "latency s", "optimizer picks"],
     )
-    weights = dict(latency_weight=0.001, message_weight=1.0)  # traffic-bound regime
+    weights = dict(latency_weight=0.001, message_weight=1.0)  # message-bound regime
     wins = {}
     for age_low in (64, 60, 50, 24):  # max age is 65 -> 1..all rows
         vql = _join_query(age_low)
@@ -64,23 +65,24 @@ def test_e4_join_strategy_crossover(benchmark, store):
             with store.pnet.net.frame() as frame:
                 result = store.execute(vql, config=PlannerConfig(join_strategy=strategy, **weights))
             traffic = frame.messages + frame.bytes  # headers + payload units
-            measured[strategy] = (traffic, result.answer_time)
+            measured[strategy] = (traffic, frame.messages, result.answer_time)
             answers[strategy] = sorted(
                 tuple(sorted((k, repr(v)) for k, v in row.items()))
                 for row in result.rows
             )
         # All strategies must compute the same answer.
-        assert answers["ship"] == answers["index-nl"] == answers["rehash"]
+        assert all(answers[strategy] == answers["ship"] for strategy in STRATEGIES)
 
         auto = store.execute(vql, config=PlannerConfig(**weights))
         chosen = _strategy_in(auto.plan)
         wins[left_rows] = (measured, chosen)
         for strategy in STRATEGIES:
-            traffic, latency = measured[strategy]
+            traffic, messages, latency = measured[strategy]
             table.add_row(
                 left_rows,
                 strategy,
                 traffic,
+                messages,
                 latency,
                 chosen if strategy == chosen else "",
             )
@@ -98,7 +100,7 @@ def test_e4_join_strategy_crossover(benchmark, store):
 
     # The optimizer's choice is near-optimal in measured traffic everywhere.
     for left_rows, (measured, chosen) in wins.items():
-        best = min(m for m, _l in measured.values())
+        best = min(m[0] for m in measured.values())
         assert measured[chosen][0] <= 2.5 * best + 20, (
             f"optimizer chose {chosen} at {left_rows} rows: "
             f"{measured[chosen][0]} traffic vs best {best}"
@@ -133,6 +135,8 @@ def test_e4_range_algorithm_tradeoff(benchmark, store):
 
 
 def _strategy_in(plan_text: str) -> str:
+    if "OidClusterScan" in plan_text:
+        return "oid-cluster"
     if "IndexNestedLoopJoin" in plan_text:
         return "index-nl"
     if "RehashJoin" in plan_text:

@@ -14,6 +14,7 @@ Commands::
 
     query <VQL...>;          run a query (may span lines; ends with ';')
     explain <VQL...>;        show logical + physical plan without executing
+    explain analyze <VQL>;   also run it: estimated cost next to measured cost
     insert k=v [k=v ...]     insert one logical tuple
     map <src> <dst> [conf]   add a schema mapping
     peers                    list peers with path / load / online state
@@ -128,10 +129,13 @@ class UniStoreShell:
 
     def cmd_explain(self, rest: str) -> None:
         vql = rest.rstrip(";").strip()
+        analyze = vql.split(maxsplit=1)[:1] == ["analyze"]
+        if analyze:
+            vql = vql[len("analyze") :].strip()
         if not vql:
-            self.write("usage: explain <VQL...>;")
+            self.write("usage: explain [analyze] <VQL...>;")
             return
-        self.write(self.store.explain(vql))
+        self.write(self.store.explain(vql, analyze=analyze))
 
     def cmd_insert(self, rest: str) -> None:
         if not rest:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from repro.errors import PlanningError
 from repro.net.latency import LatencyModel
@@ -301,13 +302,31 @@ class UniStore:
         )
         return result
 
-    def explain(self, vql_text: str, config: PlannerConfig | None = None) -> str:
-        """Logical and physical plan text without executing."""
+    def explain(
+        self, vql_text: str, config: PlannerConfig | None = None, analyze: bool = False
+    ) -> str:
+        """Logical and physical plan text.
+
+        With ``analyze`` the query also runs (optimized mode, a random
+        coordinator), and the plan's estimated cost is printed next to what
+        the run measured: messages, simulated answer time, rows and wall
+        time.
+        """
         query = parse(vql_text)
         logical = rewrite(build_plan(query))
-        planner = self._planner(config)
-        physical = planner.plan(logical)
-        return f"-- logical --\n{logical.explain()}\n-- physical --\n{physical.explain()}"
+        physical, estimate = self._planner(config).plan_with_cost(logical)
+        text = f"-- logical --\n{logical.explain()}\n-- physical --\n{physical.explain()}"
+        if not analyze:
+            return text
+        begin = time.perf_counter()
+        result = self.execute(vql_text, config=config)
+        wall = time.perf_counter() - begin
+        return (
+            f"{text}\n-- analyze --\n"
+            f"estimated: messages={estimate.messages:.1f} answer_time={estimate.latency:.6f}s\n"
+            f"actual:    messages={result.messages} answer_time={result.answer_time:.6f}s "
+            f"rows={len(result.rows)} wall={wall * 1e3:.3f}ms"
+        )
 
     # -- execution modes -------------------------------------------------------------------
 

@@ -37,6 +37,9 @@ class Network:
         self.rng = random.Random(seed)
         self.stats = NetworkStats()
         self.nodes: dict[str, Node] = {}
+        #: Bumped whenever a node joins, fails or recovers; caches of the
+        #: online set are valid while it stays put.
+        self.epoch = 0
         self._link_latency: dict[tuple[str, str], float] = {}
         #: When True, routed messages piggyback the learned destination so
         #: transit peers warm their route caches (see repro.pgrid.routing).
@@ -53,6 +56,7 @@ class Network:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes[node.node_id] = node
+        self.epoch += 1
 
     def node(self, node_id: str) -> Node:
         try:

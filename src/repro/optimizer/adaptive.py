@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from repro.algebra.operators import PatternScan
 from repro.algebra.semantics import Binding
 from repro.optimizer.cost_model import CostModel
+from repro.pgrid.keys import KeyRange
+from repro.triples.index import INDEX_TAG, IndexKind, av_attribute_range
 from repro.vql.ast import Literal, Var
 
 
@@ -52,13 +54,13 @@ def choose_next_step(
     # a candidate when nothing pending connects to the rows.
     connected = [scan for scan in pending if scan.pattern.variables() & bound_variables]
 
-    best: Step | None = None
-    for scan in connected or pending:
-        step = _cost_step(scan, bindings, bound_variables, model)
-        if best is None or step.estimated_cost < best.estimated_cost:
-            best = step
-    assert best is not None  # pending is never empty when called
-    return best
+    steps = [_cost_step(scan, bindings, bound_variables, model) for scan in connected or pending]
+    # Equal costs go to the most selective pattern: it leaves the fewest
+    # rows for the steps after it (a one-leaf scan costs what a lookup does).
+    return min(
+        steps,
+        key=lambda step: (step.estimated_cost, model.stats.estimate_pattern(step.scan.pattern)),
+    )
 
 
 def _cost_step(
@@ -68,7 +70,6 @@ def _cost_step(
     model: CostModel,
 ) -> Step:
     pattern = scan.pattern
-    stats = model.stats
 
     # Probing is possible when a bound variable sits in the subject or the
     # object (with literal predicate / via the v index).
@@ -85,19 +86,12 @@ def _cost_step(
 
     # Otherwise: evaluate the pattern with its best standalone access path
     # and migrate the plan (carrying |bindings| rows) into that region.
-    rows = stats.estimate_pattern(pattern)
-    if isinstance(pattern.subject, Literal) or (
-        isinstance(pattern.predicate, Literal) and isinstance(pattern.object, Literal)
-    ):
+    if isinstance(pattern.subject, Literal) or isinstance(pattern.object, Literal):
         access = model.lookup()
     elif isinstance(pattern.predicate, Literal):
-        attribute = str(pattern.predicate.value)
-        fraction = stats.attribute_count(attribute) / max(1, stats.total_triples)
-        access = model.range_scan(fraction, "shower", rows)
-    elif isinstance(pattern.object, Literal):
-        access = model.lookup()
+        access = model.range_scan(av_attribute_range(str(pattern.predicate.value)), "shower")
     else:
-        access = model.range_scan(1.0, "shower", rows)
+        access = model.range_scan(KeyRange.subtree(INDEX_TAG[IndexKind.AV]), "shower")
     carried = len(bindings) if bindings else 0
     migrate = model.ship_rows(max(1, carried))
     return Step(scan, "scan", None, model.value(access.then(migrate)))

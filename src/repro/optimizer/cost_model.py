@@ -6,25 +6,34 @@
      used overlay system and the actual data distribution."
 
 Costs carry two dimensions — total **messages** and critical-path **latency**
-— mirroring the two things the paper's evaluation talks about (traffic and
-answer time).  Plan comparison minimizes a weighted combination
-(latency-dominant by default, as the demo's headline metric is answer time).
+— the two things the paper's evaluation talks about (traffic and answer
+time).  Plan comparison minimizes ``latency_weight·latency +
+message_weight·messages`` (latency-dominant by default, as the demo's
+headline metric is answer time).  A message is one send, whatever it
+carries: payload size shows up in the byte ledger
+(``StatsFrame.bytes``), not in the objective.
 
-The formulas below are the standard P-Grid/UniStore ones:
+Range scans are priced by the trie leaves their key range covers
+(:meth:`CatalogStatistics.leaves_covered`, read off the overlay's actual
+leaf layout), so an A#v range on one leaf and the whole OID subtree cost
+what they actually cost.  With G leaf groups and L leaves covered:
 
-* key lookup:         log₂(G) messages, log₂(G) sequential hops
-* shower range scan:  log₂(G) + L messages, depth ≈ log₂(G) critical path
+* key lookup:         log₂(G) + 1 messages (route plus reply), all sequential
+* shower range scan:  log₂(G) + L messages, log₂(G) + 1 + log₂(L) critical path
 * sequential scan:    log₂(G) + L messages, log₂(G) + L critical path
-* ship join:          inputs + shipping |L|+|R| rows, one parallel wave
-* index-NL join:      |distinct(L)| parallel lookups
-* re-hash join:       |L|+|R| routed transfers, parallel, + result wave
+* shipping rows:      one message per sending peer, one parallel wave
+* index-NL join:      one parallel lookup per distinct left value
+* re-hash join:       one routed transfer per join-value batch, in parallel,
+                      plus one result message per rendezvous peer
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.optimizer.statistics import CatalogStatistics
+from repro.pgrid.keys import KeyRange
 
 
 @dataclass(frozen=True)
@@ -83,28 +92,34 @@ class CostModel:
         one = self.lookup()
         return Cost(messages=one.messages * max(0.0, count), latency=one.latency)
 
-    def range_scan(self, fraction: float, algorithm: str, result_rows: float) -> Cost:
-        """Scan of a key range covering ``fraction`` of an index's data."""
-        hops = self.stats.expected_hops()
-        leaves = self.stats.expected_leaves(fraction)
+    def range_scan(self, key_range: KeyRange, algorithm: str) -> Cost:
+        """Scan of ``key_range``, priced by the trie leaves it covers.
+
+        A range on one leaf costs exactly a :meth:`lookup`.  Every further
+        leaf costs one message, and one hop of latency per leaf for the
+        sequential walk or per level of fan-out for the shower.
+        """
+        leaves = max(1, self.stats.leaves_covered(key_range))
         if algorithm == "sequential":
-            messages = hops + leaves + result_rows / max(1.0, leaves)
-            latency = (hops + leaves) * self.hop_latency
+            extra_hops = leaves - 1
         else:  # shower
-            messages = hops + 2 * leaves  # fan-out + per-edge returns
-            latency = 2 * hops * self.hop_latency
-        return Cost(messages=messages, latency=latency)
+            extra_hops = math.log2(leaves)
+        one_leaf = self.lookup()
+        return Cost(
+            messages=one_leaf.messages + leaves - 1,
+            latency=one_leaf.latency + extra_hops * self.hop_latency,
+        )
 
     def ship_rows(self, rows: float, senders: float = 1.0) -> Cost:
         """One parallel wave delivering ``rows`` from ``senders`` peers.
 
-        ``messages`` is in *traffic units*: one header per sender plus one
-        unit per shipped row, matching how the simulator accounts payload
-        sizes.  Latency is a single parallel hop.
+        One message per sender that has rows to send, however many rows it
+        carries; latency is a single parallel hop.  No senders means the
+        rows are already where they are needed.
         """
-        if rows <= 0:
+        if rows <= 0 or senders <= 0:
             return Cost()
-        return Cost(messages=max(1.0, senders) + rows, latency=self.hop_latency)
+        return Cost(messages=max(1.0, min(senders, rows)), latency=self.hop_latency)
 
     # -- joins ---------------------------------------------------------------------
 
@@ -121,10 +136,12 @@ class CostModel:
         return self.parallel_lookups(distinct_probe_values)
 
     def rehash_join(self, left_rows: float, right_rows: float, result_rows: float) -> Cost:
-        """Symmetric re-hash: both inputs route to rendezvous peers in parallel."""
+        """Symmetric re-hash: both inputs route to rendezvous peers in parallel,
+        then every rendezvous peer with matches sends them in one message."""
         hops = self.stats.expected_hops()
         transfers = (left_rows + right_rows) * 0.5 + 1  # batched by join value
-        messages = transfers * hops + max(1.0, result_rows)
+        senders = min(max(1.0, result_rows), self.stats.num_groups)
+        messages = transfers * hops + senders
         latency = hops * self.hop_latency + self.hop_latency  # parallel waves
         return Cost(messages=messages, latency=latency)
 
@@ -133,11 +150,3 @@ class CostModel:
     def qgram_probe(self, gram_count: float) -> Cost:
         """Parallel posting-list fetches for the probe grams of one string."""
         return self.parallel_lookups(gram_count)
-
-    # -- ranking -----------------------------------------------------------------------
-
-    def ranked_collection(self, producer_count: float, rows_shipped: float) -> Cost:
-        """Gathering (locally pruned) ranking inputs at the coordinator."""
-        if rows_shipped <= 0:
-            return Cost()
-        return Cost(messages=max(1.0, producer_count) + rows_shipped, latency=self.hop_latency)

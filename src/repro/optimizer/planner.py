@@ -73,7 +73,7 @@ from repro.vql.ast import Literal, TriplePattern, Var
 class PlannerConfig:
     """Optimizer knobs; ``None`` means "let the cost model decide"."""
 
-    join_strategy: str | None = None  # "ship" | "index-nl" | "rehash"
+    join_strategy: str | None = None  # "oid-cluster" | "ship" | "index-nl" | "rehash"
     range_algorithm: str | None = None  # "shower" | "sequential"
     ranking_prune: bool | None = None  # local pruning for top-N/skyline
     use_qgram: bool | None = None  # q-gram strategy for similarity predicates
@@ -88,7 +88,9 @@ class Planned:
     op: PhysicalOperator
     cost: Cost
     rows: float
-    producers: float = 1.0
+    #: Peers holding the rows when the operator finishes; 0 means they are
+    #: already at the coordinator, so shipping them there is free.
+    producers: float = 0.0
 
 
 class Planner:
@@ -147,7 +149,7 @@ class Planner:
         if isinstance(node, Projection):
             child = self._plan(node.child)
             extra = (self.model.ship_rows(child.rows, child.producers) if node.distinct else Cost())
-            producers = 1.0 if node.distinct else child.producers
+            producers = 0.0 if node.distinct else child.producers
             return Planned(
                 ProjectOp(child.op, node.variables, node.distinct),
                 child.cost.then(extra),
@@ -193,14 +195,14 @@ class Planner:
             return Planned(DifferenceOp(left.op, right.op), cost, rows=left.rows)
         if isinstance(node, OrderBy):
             child = self._plan(node.child)
-            cost = child.cost.then(self.model.ship_rows(child.rows, child.producers))
-            return Planned(SortOp(child.op, node.items), cost, rows=child.rows)
+            return Planned(SortOp(child.op, node.items), self._delivered(child), rows=child.rows)
         if isinstance(node, Limit):
             child = self._plan(node.child)
-            cost = child.cost.then(self.model.ship_rows(child.rows, child.producers))
             count = node.count if node.count is not None else child.rows
             return Planned(
-                LimitOp(child.op, node.count, node.offset), cost, rows=min(child.rows, count)
+                LimitOp(child.op, node.count, node.offset),
+                self._delivered(child),
+                rows=min(child.rows, count),
             )
         if isinstance(node, TopN):
             child = self._plan(node.child)
@@ -210,7 +212,7 @@ class Planner:
                 if prune
                 else child.rows
             )
-            cost = child.cost.then(self.model.ranked_collection(child.producers, shipped))
+            cost = child.cost.then(self.model.ship_rows(shipped, child.producers))
             return Planned(
                 TopNOp(child.op, node.items, node.n, node.offset, prune=prune),
                 cost,
@@ -220,7 +222,7 @@ class Planner:
             child = self._plan(node.child)
             prune = self.config.ranking_prune if self.config.ranking_prune is not None else True
             shipped = child.rows**0.6 * child.producers**0.4 if prune else child.rows
-            cost = child.cost.then(self.model.ranked_collection(child.producers, shipped))
+            cost = child.cost.then(self.model.ship_rows(shipped, child.producers))
             return Planned(
                 SkylineOp(child.op, node.items, prune=prune),
                 cost,
@@ -244,27 +246,24 @@ class Planner:
 
         if subject_lit:
             rows = self.stats.estimate_pattern(pattern)
-            return Planned(OidLookupScan(pattern, filters), self.model.lookup(), rows=rows)
+            return self._lookup(OidLookupScan(pattern, filters), rows)
 
         if predicate_lit:
             attribute = str(pattern.predicate.value)  # type: ignore[union-attr]
             attr_count = self.stats.attribute_count(attribute)
-            total = max(1, self.stats.total_triples)
 
             if object_lit:
                 rows = attr_count * self.stats.eq_selectivity(attribute)
-                return Planned(AvLookupScan(pattern, filters), self.model.lookup(), rows=rows)
+                return self._lookup(AvLookupScan(pattern, filters), rows)
 
             # Constraints on the object variable refine the A#v access path.
             eq = _equality_value(constraints, object_var)
             if eq is not None:
                 # An equality filter pins the A#v key; scan the single-point
                 # range so the variable still gets bound from the triples.
-                rows = attr_count * self.stats.eq_selectivity(attribute)
-                return Planned(
+                return self._range_scan(
                     AvRangeScan(pattern, filters, low=eq, high=eq, algorithm=algorithm),
-                    self.model.lookup(),
-                    rows=rows,
+                    rows=attr_count * self.stats.eq_selectivity(attribute),
                 )
 
             edist = _edist_constraint(constraints, object_var)
@@ -287,22 +286,15 @@ class Planner:
 
             prefix = _prefix_constraint(constraints, object_var)
             if prefix is not None and prefix.prefix:
-                fraction = (attr_count / total) * 0.1
-                cost = self.model.range_scan(fraction, algorithm or "shower", attr_count * 0.1)
-                return Planned(
+                return self._range_scan(
                     AvPrefixScan(pattern, filters, prefix=prefix.prefix, algorithm=algorithm),
-                    cost,
                     rows=attr_count * 0.1,
-                    producers=self.stats.expected_leaves(fraction),
                 )
 
             low, low_inc, high, high_inc = _range_bounds(constraints, object_var)
             if low is not None or high is not None:
                 selectivity = self.stats.range_selectivity(attribute, low, high)
-                fraction = (attr_count / total) * max(selectivity, 1e-6)
-                rows = attr_count * selectivity
-                cost = self.model.range_scan(fraction, algorithm or "shower", rows)
-                return Planned(
+                return self._range_scan(
                     AvRangeScan(
                         pattern,
                         filters,
@@ -312,40 +304,27 @@ class Planner:
                         high_inclusive=high_inc,
                         algorithm=algorithm,
                     ),
-                    cost,
-                    rows=rows,
-                    producers=self.stats.expected_leaves(fraction),
+                    rows=attr_count * selectivity,
                 )
 
-            fraction = attr_count / total
-            cost = self.model.range_scan(fraction, algorithm or "shower", attr_count)
-            return Planned(
-                AttributeScan(pattern, filters, algorithm=algorithm),
-                cost,
-                rows=float(attr_count),
-                producers=self.stats.expected_leaves(fraction),
+            return self._range_scan(
+                AttributeScan(pattern, filters, algorithm=algorithm), rows=float(attr_count)
             )
 
         if object_lit:
             rows = self.stats.estimate_pattern(pattern)
-            return Planned(VLookupScan(pattern, filters), self.model.lookup(), rows=rows)
+            return self._lookup(VLookupScan(pattern, filters), rows)
 
         if object_var is not None:
             prefix = _prefix_constraint(constraints, object_var)
             if prefix is not None and prefix.prefix:
-                fraction = 0.05
-                cost = self.model.range_scan(fraction, algorithm or "shower", 10)
-                return Planned(
+                return self._range_scan(
                     VPrefixScan(pattern, filters, prefix=prefix.prefix, algorithm=algorithm),
-                    cost,
                     rows=self.stats.total_triples * 0.05,
-                    producers=self.stats.expected_leaves(fraction),
                 )
             low, low_inc, high, high_inc = _range_bounds(constraints, object_var)
             if low is not None or high is not None:
-                fraction = 0.2
-                cost = self.model.range_scan(fraction, algorithm or "shower", 10)
-                return Planned(
+                return self._range_scan(
                     VRangeScan(
                         pattern,
                         filters,
@@ -355,18 +334,28 @@ class Planner:
                         high_inclusive=high_inc,
                         algorithm=algorithm,
                     ),
-                    cost,
                     rows=self.stats.total_triples * 0.2,
-                    producers=self.stats.expected_leaves(fraction),
                 )
 
-        fraction = 1.0
-        cost = self.model.range_scan(fraction, algorithm or "shower", self.stats.total_triples)
-        return Planned(
+        return self._range_scan(
             BroadcastScan(pattern, filters, algorithm=algorithm),
-            cost,
             rows=float(self.stats.total_triples),
-            producers=float(self.stats.num_groups),
+        )
+
+    def _lookup(self, op: PhysicalOperator, rows: float) -> Planned:
+        """An exact-key lookup; its rows sit on the one responsible peer."""
+        return Planned(op, self.model.lookup(), rows=rows, producers=1.0)
+
+    def _range_scan(self, op: PhysicalOperator, rows: float) -> Planned:
+        """A range-scan operator priced by the trie leaves its key range
+        covers; each covered leaf is one potential producer of rows."""
+        key_range = op.key_range()  # type: ignore[attr-defined]
+        algorithm = getattr(op, "algorithm", None) or "shower"
+        return Planned(
+            op,
+            self.model.range_scan(key_range, algorithm),
+            rows=rows,
+            producers=float(max(1, self.stats.leaves_covered(key_range))),
         )
 
     # -- joins ------------------------------------------------------------------------
@@ -389,18 +378,14 @@ class Planner:
                 ),
                 default=float(self.stats.distinct_oids),
             )
-            fraction = 0.4  # the OID index's share of the posting space
-            cost = self.model.range_scan(fraction, "shower", rows)
             candidates.append(
-                Planned(
+                self._range_scan(
                     OidClusterScan(
                         patterns=tuple(patterns),
                         filters=tuple(star_filters),
                         subject_variable=subject,
                     ),
-                    cost,
                     rows=rows,
-                    producers=self.stats.expected_leaves(fraction),
                 )
             )
             if self.config.join_strategy == "oid-cluster":
@@ -420,9 +405,7 @@ class Planner:
         right_scan = _as_pattern_scan(node.right)
         if right_scan is not None and shared and _index_nl_applicable(right_scan.pattern, shared):
             probes = max(1.0, left.rows)
-            nl_cost = left.cost.then(
-                self.model.ship_rows(left.rows, left.producers)
-            ).then(self.model.index_nl_join(probes))
+            nl_cost = self._delivered(left).then(self.model.index_nl_join(probes))
             candidates.append(
                 Planned(
                     IndexNestedLoopJoin(
@@ -451,7 +434,13 @@ class Planner:
                 if candidate.op.strategy == forced:
                     return candidate
             raise PlanningError(f"forced join strategy {forced!r} is not applicable here")
-        return min(candidates, key=lambda planned: self.model.value(planned.cost))
+        # Compare with every candidate's rows delivered to the coordinator:
+        # the joins leave theirs there, the star's stay on the OID leaves.
+        return min(candidates, key=lambda planned: self.model.value(self._delivered(planned)))
+
+    def _delivered(self, planned: Planned) -> Cost:
+        """``planned``'s cost until its rows have reached the coordinator."""
+        return planned.cost.then(self.model.ship_rows(planned.rows, planned.producers))
 
     def _plan_similarity_join(self, node: SimilarityJoin) -> Planned:
         left = self._plan(node.left)

@@ -11,8 +11,10 @@ view (equivalent information, zero-message access), refreshed explicitly via
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+from repro.pgrid.keys import KeyRange, canonical
 from repro.pgrid.network import PGridNetwork
 from repro.triples.index import IndexKind
 from repro.triples.store import DistributedTripleStore, Posting
@@ -44,6 +46,10 @@ class CatalogStatistics:
     total_triples: int = 0
     distinct_oids: int = 0
     attributes: dict[str, AttributeStats] = field(default_factory=dict)
+    #: Canonical left edges of the trie's leaves, in key order: leaf ``i``
+    #: covers ``[leaf_starts[i], leaf_starts[i + 1])``.  The default is one
+    #: leaf covering the whole key space.
+    leaf_starts: list[str] = field(default_factory=lambda: [""])
 
     # -- construction --------------------------------------------------------
 
@@ -52,11 +58,13 @@ class CatalogStatistics:
         cls, store: DistributedTripleStore, latency_samples: int = 64
     ) -> "CatalogStatistics":
         pnet = store.pnet
+        paths = pnet.leaf_groups()
         stats = cls(
             num_peers=len(pnet.peers),
-            num_groups=max(1, len(pnet.leaf_groups())),
-            replication=len(pnet.peers) / max(1, len(pnet.leaf_groups())),
+            num_groups=max(1, len(paths)),
+            replication=len(pnet.peers) / max(1, len(paths)),
             avg_link_latency=_estimate_link_latency(pnet, latency_samples),
+            leaf_starts=sorted(canonical(path) for path in paths) or [""],
         )
         distinct_values: dict[str, set[Value]] = {}
         oids: set[str] = set()
@@ -93,9 +101,17 @@ class CatalogStatistics:
         """Expected routing hops: O(log2 groups) (paper: logarithmic guarantees)."""
         return max(1.0, math.log2(max(2, self.num_groups)))
 
-    def expected_leaves(self, fraction: float) -> float:
-        """Expected number of trie leaves covering a ``fraction`` of the data."""
-        return max(1.0, fraction * self.num_groups)
+    def leaves_covered(self, key_range: KeyRange) -> int:
+        """Number of trie leaves whose subtree intersects ``key_range``.
+
+        Two bisections over :attr:`leaf_starts`: the leaf holding the
+        range's lower end, and the last leaf starting below its upper end.
+        """
+        if key_range.is_empty():
+            return 0
+        first = bisect_right(self.leaf_starts, key_range.lo_canonical) - 1
+        last = bisect_left(self.leaf_starts, key_range.hi_canonical) - 1
+        return last - first + 1
 
     # -- cardinality estimation ---------------------------------------------------
 

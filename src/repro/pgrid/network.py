@@ -56,6 +56,10 @@ class PGridNetwork:
         self.fanout = fanout
         self.rng = random.Random(seed ^ 0x5EED)
         self.peers: list[PGridPeer] = []
+        #: Online peers in membership order, valid while ``net.epoch`` equals
+        #: ``_online_epoch`` (see :meth:`random_online_peer`).
+        self._online: list[PGridPeer] = []
+        self._online_epoch = -1
         self._clock = 0  # Lamport-style version counter for updates
         #: The scheduler attached by :meth:`event_driven` (``None`` when detached).
         self.scheduler: EventScheduler | None = None
@@ -168,8 +172,16 @@ class PGridNetwork:
         return [p for p in self.peers if p.online]
 
     def random_online_peer(self, rng: random.Random | None = None) -> PGridPeer:
-        """A uniformly chosen online peer (the default gateway for operations)."""
-        online = self.online_peers()
+        """A uniformly chosen online peer (the default gateway for operations).
+
+        Draws from a cached online list, rebuilt only after a peer joined,
+        failed or recovered; it holds the same peers in the same order as
+        :meth:`online_peers`, so a seed draws the same peer.
+        """
+        if self._online_epoch != self.net.epoch:
+            self._online = self.online_peers()
+            self._online_epoch = self.net.epoch
+        online = self._online
         if not online:
             raise RoutingError("no online peers in the overlay")
         return (rng or self.rng).choice(online)

@@ -19,6 +19,8 @@ BroadcastScan          nothing bound                               A#v (full)
 
 All scans return bindings in produce form (grouped by serving peer) and apply
 their residual ``filters`` where the data lives, before anything is shipped.
+The range scans and the OID star expose the ``key_range()`` they read; the
+optimizer prices them by the trie leaves that range covers.
 """
 
 from __future__ import annotations
@@ -92,8 +94,25 @@ class _ScanBase(PhysicalOperator):
                 bindings.append(binding)
         return bindings
 
-    def _range_groups(self, ctx: ExecutionContext, key_range: KeyRange, kind: IndexKind):
+    def _label(self) -> str:
+        extra = f" | {' AND '.join(str(f) for f in self.filters)}" if self.filters else ""
+        return f"{type(self).__name__} {self.pattern}{extra}"
+
+
+@dataclass
+class _RangeScan(_ScanBase):
+    """A scan of the one key range :meth:`key_range` names, inside the
+    ``index`` posting family; the optimizer prices it by the trie leaves
+    that range covers."""
+
+    index = IndexKind.AV
+
+    def key_range(self) -> KeyRange:
+        raise NotImplementedError
+
+    def execute(self, ctx: ExecutionContext) -> OpResult:
         algorithm = getattr(self, "algorithm", None) or ctx.range_algorithm
+        key_range = self.key_range()
         if algorithm == "shower":
             groups, trace, complete = range_query_shower_groups(
                 ctx.pnet, key_range, start=ctx.coordinator, rng=ctx.rng
@@ -106,14 +125,10 @@ class _ScanBase(PhysicalOperator):
             raise PlanningError(f"unknown range algorithm {algorithm!r}")
         result_groups = []
         for peer_id, entries in groups:
-            bindings = self._bindings(entries, kind)
+            bindings = self._bindings(entries, self.index)
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
-
-    def _label(self) -> str:
-        extra = f" | {' AND '.join(str(f) for f in self.filters)}" if self.filters else ""
-        return f"{type(self).__name__} {self.pattern}{extra}"
 
 
 @dataclass
@@ -153,7 +168,7 @@ class AvLookupScan(_ScanBase):
 
 
 @dataclass
-class AvRangeScan(_ScanBase):
+class AvRangeScan(_RangeScan):
     """Range scan on the A#v index: ``low <op> attribute <op> high``."""
 
     low: Value | None = None
@@ -164,14 +179,13 @@ class AvRangeScan(_ScanBase):
 
     strategy = "av-range"
 
-    def execute(self, ctx: ExecutionContext) -> OpResult:
+    def key_range(self) -> KeyRange:
         predicate = self.pattern.predicate
         if not isinstance(predicate, Literal):
             raise PlanningError("AvRangeScan needs a literal predicate")
-        key_range = av_value_range(
+        return av_value_range(
             str(predicate.value), self.low, self.high, self.low_inclusive, self.high_inclusive
         )
-        return self._range_groups(ctx, key_range, IndexKind.AV)
 
     def _label(self) -> str:
         lo_bracket = "[" if self.low_inclusive else "("
@@ -184,7 +198,7 @@ class AvRangeScan(_ScanBase):
 
 
 @dataclass
-class AvPrefixScan(_ScanBase):
+class AvPrefixScan(_RangeScan):
     """Prefix scan over string values of one attribute."""
 
     prefix: str = ""
@@ -192,28 +206,26 @@ class AvPrefixScan(_ScanBase):
 
     strategy = "av-prefix"
 
-    def execute(self, ctx: ExecutionContext) -> OpResult:
+    def key_range(self) -> KeyRange:
         predicate = self.pattern.predicate
         if not isinstance(predicate, Literal):
             raise PlanningError("AvPrefixScan needs a literal predicate")
-        key_range = av_string_prefix_range(str(predicate.value), self.prefix)
-        return self._range_groups(ctx, key_range, IndexKind.AV)
+        return av_string_prefix_range(str(predicate.value), self.prefix)
 
 
 @dataclass
-class AttributeScan(_ScanBase):
+class AttributeScan(_RangeScan):
     """Scan every triple of one attribute (whole A#v subtree)."""
 
     algorithm: str | None = None
 
     strategy = "attribute-scan"
 
-    def execute(self, ctx: ExecutionContext) -> OpResult:
+    def key_range(self) -> KeyRange:
         predicate = self.pattern.predicate
         if not isinstance(predicate, Literal):
             raise PlanningError("AttributeScan needs a literal predicate")
-        key_range = av_value_range(str(predicate.value))
-        return self._range_groups(ctx, key_range, IndexKind.AV)
+        return av_value_range(str(predicate.value))
 
 
 @dataclass
@@ -235,7 +247,7 @@ class VLookupScan(_ScanBase):
 
 
 @dataclass
-class VRangeScan(_ScanBase):
+class VRangeScan(_RangeScan):
     """Range scan over the v index (attribute unknown)."""
 
     low: Value | None = None
@@ -245,28 +257,28 @@ class VRangeScan(_ScanBase):
     algorithm: str | None = None
 
     strategy = "v-range"
+    index = IndexKind.V
 
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        key_range = v_value_range(self.low, self.high, self.low_inclusive, self.high_inclusive)
-        return self._range_groups(ctx, key_range, IndexKind.V)
+    def key_range(self) -> KeyRange:
+        return v_value_range(self.low, self.high, self.low_inclusive, self.high_inclusive)
 
 
 @dataclass
-class VPrefixScan(_ScanBase):
+class VPrefixScan(_RangeScan):
     """Prefix search over all string values — the paper's substring entry point."""
 
     prefix: str = ""
     algorithm: str | None = None
 
     strategy = "v-prefix"
+    index = IndexKind.V
 
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        key_range = v_string_prefix_range(self.prefix)
-        return self._range_groups(ctx, key_range, IndexKind.V)
+    def key_range(self) -> KeyRange:
+        return v_string_prefix_range(self.prefix)
 
 
 @dataclass
-class BroadcastScan(_ScanBase):
+class BroadcastScan(_RangeScan):
     """Fallback when nothing is bound: scan the entire A#v subtree.
 
     Every triple has exactly one A#v posting, so this enumerates the whole
@@ -278,9 +290,8 @@ class BroadcastScan(_ScanBase):
 
     strategy = "broadcast"
 
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        key_range = KeyRange.subtree(INDEX_TAG[IndexKind.AV])
-        return self._range_groups(ctx, key_range, IndexKind.AV)
+    def key_range(self) -> KeyRange:
+        return KeyRange.subtree(INDEX_TAG[IndexKind.AV])
 
 
 @dataclass
@@ -378,6 +389,9 @@ class OidClusterScan(PhysicalOperator):
 
     strategy = "oid-cluster"
 
+    def key_range(self) -> KeyRange:
+        return KeyRange.subtree(INDEX_TAG[IndexKind.OID])
+
     def execute(self, ctx: ExecutionContext) -> OpResult:
         if not self.patterns:
             raise PlanningError("OidClusterScan needs at least one pattern")
@@ -385,9 +399,8 @@ class OidClusterScan(PhysicalOperator):
             subject = pattern.subject
             if not isinstance(subject, Var) or subject.name != self.subject_variable:
                 raise PlanningError("OidClusterScan patterns must share the subject variable")
-        key_range = KeyRange.subtree(INDEX_TAG[IndexKind.OID])
         groups, trace, complete = range_query_shower_groups(
-            ctx.pnet, key_range, start=ctx.coordinator, rng=ctx.rng
+            ctx.pnet, self.key_range(), start=ctx.coordinator, rng=ctx.rng
         )
         # With every predicate a literal, a triple can only match the patterns
         # naming its attribute: others are dropped before the dedup, and each

@@ -65,6 +65,12 @@ class TestCommands:
         output = run(shell, "explain SELECT ?n WHERE {(?p,'name',?n)};")
         assert "-- logical --" in output and "-- physical --" in output
 
+    def test_explain_analyze(self, shell):
+        run(shell, "insert name=Cara")
+        output = run(shell, "explain analyze SELECT ?n WHERE {(?p,'name',?n)};")
+        assert "-- physical --" in output and "-- analyze --" in output
+        assert "actual:    messages=" in output and "rows=1 " in output
+
     def test_peers_listing(self, shell):
         output = run(shell, "peers")
         assert "peer-0000" in output

@@ -147,6 +147,33 @@ class TestExecutionModes:
         assert "-- logical --" in text and "-- physical --" in text
         assert "AvLookupScan" in text
 
+    def test_explain_analyze_prints_the_runs_actuals(self, conference_store, monkeypatch):
+        """EXPLAIN ANALYZE runs the explained plan and prints its estimate
+        next to the very QueryResult the run returned."""
+        vql = (
+            "SELECT ?name,?cnt WHERE {(?a,'name',?name) (?a,'num_of_pubs',?cnt)} "
+            "ORDER BY ?cnt DESC LIMIT 5"
+        )
+        runs = []
+        execute = conference_store.execute
+
+        def spy(*args, **kwargs):
+            runs.append(execute(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(conference_store, "execute", spy)
+        text = conference_store.explain(vql, analyze=True)
+        (result,) = runs
+        plan, analyze = text.split("-- analyze --\n")
+        assert result.plan in plan  # the plan that ran is the plan explained
+        estimated, actual = analyze.splitlines()
+        assert estimated.startswith("estimated: messages=")
+        assert actual.startswith(
+            f"actual:    messages={result.messages} "
+            f"answer_time={result.answer_time:.6f}s rows={len(result.rows)} wall="
+        )
+        assert "-- analyze --" not in conference_store.explain(vql)
+
 
 class TestIngestionAPI:
     def test_insert_tuple_generates_oid(self):

@@ -1,12 +1,18 @@
 """Statistics, cost model, and the cost-based planner's strategy choices."""
 
-import pytest
+import statistics
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro import UniStore
 from repro.algebra import build_plan, rewrite
 from repro.bench import ConferenceWorkload
 from repro.errors import PlanningError
 from repro.optimizer import CatalogStatistics, Cost, CostModel, Planner, PlannerConfig
-from repro.pgrid import build_network
+from repro.pgrid import PGridNetwork, build_network
+from repro.pgrid.keys import KeyRange, key_fraction, path_interval
 from repro.physical import (
     AttributeScan,
     AvLookupScan,
@@ -82,6 +88,51 @@ class TestStatistics:
         _store, stats = stats_env
         assert stats.expected_hops() == pytest.approx(4.0)  # log2(16 groups)
 
+    def test_leaves_covered_by_the_index_subtrees(self, stats_env):
+        _store, stats = stats_env
+        assert stats.leaves_covered(KeyRange.everything()) == 16
+        # The balanced 16-leaf trie gives each 2-bit index tag a quarter.
+        assert stats.leaves_covered(KeyRange.subtree("00")) == 4
+        assert stats.leaves_covered(KeyRange("0101", "0101")) == 0
+
+
+def _split_trie(choices: list[int]) -> list[str]:
+    """A complete trie: split the chosen leaf once per choice (depth <= 10)."""
+    leaves = [""]
+    for choice in choices:
+        leaf = leaves[choice % len(leaves)]
+        if len(leaf) < 10:
+            leaves.remove(leaf)
+            leaves += [leaf + "0", leaf + "1"]
+    return leaves
+
+
+_KEYS = st.text(alphabet="01", max_size=12)
+_RANGES = st.one_of(
+    st.builds(KeyRange, _KEYS, _KEYS),  # includes empty ranges (lo >= hi)
+    st.builds(KeyRange.at_least, _KEYS),  # open-ended
+    st.builds(KeyRange.subtree, _KEYS),  # the whole space for ""
+    st.just(KeyRange.everything()),
+)
+
+
+class TestLeavesCovered:
+    @given(st.lists(st.integers(0, 1000), max_size=40), _RANGES)
+    def test_matches_brute_force_count(self, choices, key_range):
+        """The bisection count equals the number of trie paths whose subtree
+        shares a point with the range (exact binary fractions)."""
+        paths = _split_trie(choices)
+        pnet = PGridNetwork()
+        for index, path in enumerate(paths):
+            pnet.add_peer(f"peer-{index}", path)
+        stats = CatalogStatistics.from_store(DistributedTripleStore(pnet))
+        lo = key_fraction(key_range.lo)
+        hi = 1 if key_range.hi is None else key_fraction(key_range.hi)
+        expected = sum(
+            max(lo, start) < min(hi, end) for start, end in map(path_interval, paths)
+        )
+        assert stats.leaves_covered(key_range) == expected
+
 
 class TestCostModel:
     def test_cost_composition(self):
@@ -90,18 +141,33 @@ class TestCostModel:
         assert a.then(b) == Cost(15, 0.7)
         assert a.alongside(b) == Cost(15, 0.5)
 
+    def test_one_leaf_range_costs_a_lookup(self, stats_env):
+        _store, stats = stats_env
+        model = CostModel(stats)
+        one_leaf = KeyRange.subtree("0101")  # inside one of the 16 leaves
+        assert stats.leaves_covered(one_leaf) == 1
+        for algorithm in ("shower", "sequential"):
+            assert model.range_scan(one_leaf, algorithm) == model.lookup()
+
+    def test_messages_count_senders_not_rows(self, stats_env):
+        _store, stats = stats_env
+        model = CostModel(stats)
+        assert model.ship_rows(500, senders=3) == model.ship_rows(3, senders=3)
+        assert model.ship_rows(500, senders=3).messages == 3
+        assert model.ship_rows(500, senders=0) == Cost()
+
     def test_lookup_cheaper_than_broadcast(self, stats_env):
         _store, stats = stats_env
         model = CostModel(stats)
         lookup = model.lookup()
-        broadcast = model.range_scan(1.0, "shower", stats.total_triples)
+        broadcast = model.range_scan(KeyRange.everything(), "shower")
         assert model.value(lookup) < model.value(broadcast)
 
     def test_shower_faster_sequential_cheaper_messages(self, stats_env):
         _store, stats = stats_env
         model = CostModel(stats)
-        shower = model.range_scan(0.5, "shower", 100)
-        sequential = model.range_scan(0.5, "sequential", 100)
+        shower = model.range_scan(KeyRange.subtree("0"), "shower")
+        sequential = model.range_scan(KeyRange.subtree("0"), "sequential")
         assert shower.latency < sequential.latency
 
     def test_value_weights(self, stats_env):
@@ -265,3 +331,66 @@ class TestPlanExecution:
                 )
             )
         assert answers[0] == answers[1] == answers[2]
+
+
+class TestPlanRegret:
+    """The unforced plan must measure (nearly) as well as the best plan
+    forcing one join strategy, on the planner's own objective.
+
+    Every strategy runs from the same 4 coordinators.  A warm-up pass runs
+    each strategy from each coordinator first, so route caches are warm for
+    all of them, and every measured run starts from the same random state
+    (store, overlay and link RNGs reseeded per coordinator), so two
+    strategies that choose the same physical plan measure the same.
+    """
+
+    CLASSES = ("range", "join", "skyline", "topn")
+    FORCED = ("oid-cluster", "ship", "index-nl", "rehash")
+    #: Allowed regret.  Under this protocol two strategies with the same
+    #: plan measured exactly equal on 6 store seeds at both sizes; with one
+    #: warm-up run instead of a pass they differed by up to 13.5 %.  Pricing
+    #: the star at a fixed 40 % of the leaves (the OidClusterScan choice)
+    #: measured 1.69-1.86x the best here at 1000 peers.
+    EPSILON = 0.10
+
+    @pytest.fixture(scope="class", params=[128, 1000])
+    def store(self, request):
+        store = UniStore.build(request.param, replication=2, seed=7)
+        workload = ConferenceWorkload(seed=7)
+        workload.load_into(store)
+        return store, workload.query_mix()
+
+    @staticmethod
+    def _objective(store, vql, strategy, coordinators) -> float | None:
+        config = PlannerConfig(join_strategy=strategy)
+        values = []
+        for index, coordinator in enumerate(coordinators):
+            for rng in (store.rng, store.pnet.rng, store.pnet.net.rng):
+                rng.seed(index)
+            result = store.execute(vql, config=config, coordinator=coordinator)
+            values.append(
+                config.latency_weight * result.answer_time
+                + config.message_weight * result.messages
+            )
+        return statistics.fmean(values)
+
+    @pytest.mark.parametrize("kind", CLASSES)
+    def test_unforced_plan_is_near_the_best_forced_strategy(self, store, kind):
+        store, mix = store
+        vql = mix[kind]
+        peers = store.pnet.peers
+        coordinators = [peers[i * len(peers) // 4] for i in range(4)]
+        applicable = []
+        for strategy in (None, *self.FORCED):
+            try:
+                for coordinator in coordinators:  # warm-up pass
+                    store.execute(
+                        vql, config=PlannerConfig(join_strategy=strategy), coordinator=coordinator
+                    )
+            except PlanningError:
+                continue
+            applicable.append(strategy)
+        measured = {s: self._objective(store, vql, s, coordinators) for s in applicable}
+        chosen = measured.pop(None)
+        best = min(measured.values())
+        assert chosen <= (1 + self.EPSILON) * best, (kind, chosen, measured)

@@ -179,6 +179,34 @@ class TestOverlayFingerprints:
         assert _overlay_digest(build_network(data_keys=keys, **config)) == expected
 
 
+class TestOnlineSet:
+    def test_random_online_peer_draws_as_from_a_fresh_online_list(self):
+        """The cached online list follows fail/recover and keeps membership
+        order, so a seeded draw picks what ``rng.choice(online_peers())``
+        picks."""
+        pnet = build_network(40, replication=2, seed=9)
+        cached, fresh = random.Random(5), random.Random(5)
+        churn = random.Random(6)
+        for _round in range(30):
+            peer = churn.choice(pnet.peers)
+            toggle = peer.fail if peer.online else peer.recover
+            toggle()
+            for _draw in range(3):
+                drawn = pnet.random_online_peer(cached)
+                assert drawn is fresh.choice(pnet.online_peers())
+                assert drawn.online
+
+    def test_no_online_peer_raises(self):
+        pnet = build_network(4, replication=1, seed=1)
+        pnet.random_online_peer()
+        for peer in pnet.peers:
+            peer.fail()
+        with pytest.raises(RoutingError):
+            pnet.random_online_peer()
+        pnet.peers[2].recover()
+        assert pnet.random_online_peer() is pnet.peers[2]
+
+
 class TestRoutingAndLookup:
     def test_every_key_reaches_owner(self):
         words = _random_words(100, seed=11)
